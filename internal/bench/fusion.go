@@ -105,9 +105,9 @@ func fusionEngine(g *graph.Graph, opts core.Options) *core.Engine {
 // accumulators over one traversal must cost <=1.5x a single one —
 // acceptance). Fusion/block/4acc_interpreted shows the unfused,
 // interpreted cost of the same four blocks for scale. All cases report
-// allocations so the pooled kernel scratch (sync.Pool'd bind frames
-// and vertex delta slabs) shows up as the compiled-vs-interpreted
-// allocs_per_op delta.
+// allocations so the recycled kernel scratch (bind frames and vertex
+// delta slabs) shows up as the compiled-vs-interpreted allocs_per_op
+// delta.
 func fusionSuite() []benchCase {
 	// Kernel pair: dense graph, statement dispatch dominates. Fusion
 	// trio: counted-hop traversal with the count cache off, so every
@@ -146,7 +146,7 @@ func WriteFusionJSON(meta RunMeta, w, progress io.Writer) error {
 		"Fusion/block/1acc is one single-accumulator block over the shared traversal. " +
 		"Acceptance: Fusion/kernel/compiled >=1.5x faster than Fusion/kernel/interpreted; " +
 		"Fusion/block/4acc_fused (four blocks, one fused pass) <=1.5x the cost of " +
-		"Fusion/block/1acc. allocs_per_op: the sync.Pool'd kernel scratch (bind frames, " +
+		"Fusion/block/1acc. allocs_per_op: the recycled kernel scratch (bind frames, " +
 		"vertex delta slabs) holds the compiled path at the traversal's own allocation " +
 		"footprint (kernel pair near-identical); fusion's alloc win is " +
 		"Fusion/block/4acc_fused (one traversal) vs 4acc_interpreted (four)."

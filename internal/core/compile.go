@@ -10,10 +10,12 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// This file is the install-time compiler for ACCUM / POST-ACCUM
-// clauses. It lowers each clause into a kprogram — a flat instruction
-// sequence over closure-compiled expressions — so the per-row hot loop
-// of the ACCUM phase runs with no AST walking, no per-row map
+// This file is the install-time compiler for WHERE, ACCUM and
+// POST-ACCUM clauses. It lowers each ACCUM / POST-ACCUM clause into a
+// kprogram — a flat instruction sequence over closure-compiled
+// expressions — and each WHERE predicate into one such expression over
+// a slot-only kprogram of its own, so the per-row hot loops of the
+// filter and the ACCUM phase run with no AST walking, no per-row map
 // construction for alias environments, no per-name map lookups
 // (identifiers resolve through pre-bound slots) and no attribute
 // lookups by name (attribute references carry per-type column offsets
@@ -25,9 +27,9 @@ import (
 // The compiler is conservative and total: anything it cannot prove it
 // reproduces bit-identically — currently the dynamically-scoped
 // VertexSet.size() form and unknown node types — leaves that clause
-// uncompiled (a nil program), and the tree-walking interpreter remains
-// both the fallback and the differential oracle. Compilation can never
-// fail an install.
+// uncompiled (a nil program or predicate), and the tree-walking
+// interpreter remains both the fallback and the differential oracle.
+// Compilation can never fail an install.
 //
 // On top of per-clause compilation, compileQuery runs a fusion pass:
 // consecutive SELECT blocks sharing an identical FROM pattern and
@@ -46,12 +48,16 @@ type queryPlan struct {
 	fusion map[gsql.Stmt]*fusionGroup
 }
 
-// compiledSelect holds the compiled clause programs of one SELECT
-// block; a nil program means that clause falls back to the
+// compiledSelect holds the compiled clauses of one SELECT block; a nil
+// program or predicate means that clause falls back to the
 // interpreter.
 type compiledSelect struct {
 	acc  *kprogram
 	post *kprogram
+	// where is the WHERE predicate; whereProg holds the name,
+	// global-snapshot and vertex-store slots it reads.
+	where     *cexpr
+	whereProg *kprogram
 }
 
 // fusionGroup is a run of ≥2 consecutive SELECT blocks proven to share
@@ -109,10 +115,17 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 }
 
 func compileSelect(e *Engine, gdecls, vdecls map[string]*accum.Spec, sel *gsql.SelectExpr) *compiledSelect {
-	return &compiledSelect{
+	cs := &compiledSelect{
 		acc:  compileClause(e, gdecls, vdecls, sel.Accum, false),
 		post: compileClause(e, gdecls, vdecls, sel.PostAccum, true),
 	}
+	if sel.Where != nil {
+		c := &compiler{e: e, gdecls: gdecls, vdecls: vdecls, ok: true, p: newKprogram(false)}
+		if where := c.expr(sel.Where); where != nil && c.ok {
+			cs.where, cs.whereProg = where, c.p
+		}
+	}
+	return cs
 }
 
 // ---- clause compilation ------------------------------------------------------
@@ -447,6 +460,9 @@ func (c *compiler) vaccExpr(n *gsql.VertexAccRef) *cexpr {
 // vertex/edge type of the installed schema, replacing the per-row
 // name→index scan with one slice index. Types added to the schema
 // after install miss the table and fall back to the by-name lookup.
+// An unshadowed identifier receiver bound to a vertex or edge alias
+// reads its id straight off the binding row, as numAttr does, instead
+// of boxing it into a Value first.
 func (c *compiler) attrExpr(n *gsql.AttrRef) *cexpr {
 	obj := c.expr(n.Obj)
 	if obj == nil {
@@ -465,11 +481,11 @@ func (c *compiler) attrExpr(n *gsql.AttrRef) *cexpr {
 		offsE[i] = et.AttrIndex(name)
 	}
 	c.p.attrOffsets++
-	return dynExpr(func(k *kctx) (value.Value, error) {
-		// Data reads go through the RUN's pinned snapshot, never a graph
-		// captured at install time: the head mutates concurrently, and a
-		// follower re-bootstrap replaces it outright. Only the offset
-		// tables above are install-time (schemas are immutable per type).
+	// Data reads go through the RUN's pinned snapshot, never a graph
+	// captured at install time: the head mutates concurrently, and a
+	// follower re-bootstrap replaces it outright. Only the offset tables
+	// above are install-time (schemas are immutable per type).
+	read := func(k *kctx) (value.Value, error) {
 		g := k.rs.g
 		o, err := obj.fn(k)
 		if err != nil {
@@ -477,29 +493,9 @@ func (c *compiler) attrExpr(n *gsql.AttrRef) *cexpr {
 		}
 		switch o.Kind() {
 		case value.KindVertex:
-			vid := graph.VID(o.VertexID())
-			i := -1
-			if tid := g.VertexTypeID(vid); tid < len(offsV) {
-				i = offsV[tid]
-			} else {
-				i = g.VertexTypeOf(vid).AttrIndex(name)
-			}
-			if i < 0 {
-				return value.Null, fmt.Errorf("vertex type %s has no attribute %q", g.VertexTypeOf(vid).Name, name)
-			}
-			return g.VertexAttrAt(vid, i), nil
+			return vertexAttrAt(g, offsV, graph.VID(o.VertexID()), name)
 		case value.KindEdge:
-			eid := graph.EID(o.EdgeID())
-			i := -1
-			if tid := g.EdgeTypeID(eid); tid < len(offsE) {
-				i = offsE[tid]
-			} else {
-				i = g.EdgeTypeOf(eid).AttrIndex(name)
-			}
-			if i < 0 {
-				return value.Null, fmt.Errorf("edge type %s has no attribute %q", g.EdgeTypeOf(eid).Name, name)
-			}
-			return g.EdgeAttrAt(eid, i), nil
+			return edgeAttrAt(g, offsE, graph.EID(o.EdgeID()), name)
 		case value.KindMap:
 			for _, p := range o.Pairs() {
 				if p.Key.Kind() == value.KindString && p.Key.Str() == name {
@@ -510,7 +506,51 @@ func (c *compiler) attrExpr(n *gsql.AttrRef) *cexpr {
 		default:
 			return value.Null, fmt.Errorf("attribute %q on non-graph value of kind %s", name, o.Kind())
 		}
-	})
+	}
+	if id, isIdent := n.Obj.(*gsql.Ident); isIdent {
+		if _, shadowed := c.p.localIdx[id.Name]; !shadowed {
+			ni := c.p.nameSlot(id.Name)
+			return dynExpr(func(k *kctx) (value.Value, error) {
+				switch bn := &k.b.names[ni]; bn.kind {
+				case bnVert:
+					return vertexAttrAt(k.rs.g, offsV, k.row.verts[bn.col], name)
+				case bnEdge:
+					return edgeAttrAt(k.rs.g, offsE, k.row.edges[bn.col], name)
+				}
+				return read(k)
+			})
+		}
+	}
+	return dynExpr(read)
+}
+
+// vertexAttrAt reads attribute name of vid through the install-time
+// offset table offs, by name for types added after install.
+func vertexAttrAt(g *graph.Graph, offs []int, vid graph.VID, name string) (value.Value, error) {
+	i := -1
+	if tid := g.VertexTypeID(vid); tid < len(offs) {
+		i = offs[tid]
+	} else {
+		i = g.VertexTypeOf(vid).AttrIndex(name)
+	}
+	if i < 0 {
+		return value.Null, fmt.Errorf("vertex type %s has no attribute %q", g.VertexTypeOf(vid).Name, name)
+	}
+	return g.VertexAttrAt(vid, i), nil
+}
+
+// edgeAttrAt is vertexAttrAt for edges.
+func edgeAttrAt(g *graph.Graph, offs []int, eid graph.EID, name string) (value.Value, error) {
+	i := -1
+	if tid := g.EdgeTypeID(eid); tid < len(offs) {
+		i = offs[tid]
+	} else {
+		i = g.EdgeTypeOf(eid).AttrIndex(name)
+	}
+	if i < 0 {
+		return value.Null, fmt.Errorf("edge type %s has no attribute %q", g.EdgeTypeOf(eid).Name, name)
+	}
+	return g.EdgeAttrAt(eid, i), nil
 }
 
 func (c *compiler) callExpr(n *gsql.Call) *cexpr {
@@ -560,8 +600,7 @@ func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
 	// dynamically-scoped lookup this compiler does not model. Leave
 	// the clause to the interpreter (this is the deliberate fallback
 	// path the differential test exercises).
-	if id, ok := n.Recv.(*gsql.Ident); ok && lower(n.Name) == "size" && len(n.Args) == 0 {
-		_ = id
+	if _, ok := n.Recv.(*gsql.Ident); ok && lower(n.Name) == "size" && len(n.Args) == 0 {
 		c.ok = false
 		return nil
 	}

@@ -8,9 +8,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gsqlgo/internal/graph"
+	"gsqlgo/internal/gsql"
+	"gsqlgo/internal/ldbc"
+	"gsqlgo/internal/trace"
 	"gsqlgo/internal/value"
 )
 
@@ -155,6 +160,132 @@ var compileDiffCorpus = []struct {
 	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM @@a += X.size();
 	  PRINT @@a;
 	}`, false},
+	{"where_attr_param_literal", `CREATE QUERY Q(int lo, float hi, string nm) {
+	  SumAccum<int> @@n;
+	  SumAccum<int> @deg;
+	  R = SELECT t FROM N:s -(E>:e)- N:t
+	      WHERE s.score >= lo AND t.weight < hi AND e.w != 3 AND s.name != nm
+	            AND t.flag == true AND e.w <= 8 AND s.score > -3
+	      ACCUM @@n += e.w, t.@deg += 1;
+	  PRINT @@n;
+	  PRINT R[R.name, R.@deg];
+	}`, true},
+	{"where_alias_ne", `CREATE QUERY Q() {
+	  SumAccum<int> @@n;
+	  R = SELECT t FROM N:s -(E>)- N:m -(E>)- N:t
+	      WHERE s <> t AND m != s
+	      ACCUM @@n += 1;
+	  PRINT @@n;
+	}`, true},
+	// Parameters are scalar, so the list reaches IN through a
+	// SetAccum filled from them and through a tuple of them.
+	{"where_in", `CREATE QUERY Q(int a, int b) {
+	  SetAccum<int> @@pick;
+	  SumAccum<int> @@n;
+	  @@pick += a;
+	  @@pick += b;
+	  R = SELECT t FROM N:s -(E>:e)- N:t
+	      WHERE t.score IN @@pick OR e.w IN (a, b, 7)
+	      ACCUM @@n += 1;
+	  PRINT @@n;
+	}`, true},
+	{"where_case", `CREATE QUERY Q() {
+	  SumAccum<float> @@w;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      WHERE CASE WHEN s.flag THEN s.score > 0 WHEN t.flag THEN t.weight > 4.0 END
+	      ACCUM @@w += t.weight;
+	  PRINT @@w;
+	}`, true},
+	{"where_short_circuit", `CREATE QUERY Q() {
+	  SumAccum<int> @@n;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      WHERE (s.score > 100 AND t.nosuch == 1) OR s.score < 100 OR to_datetime(t.name) > 0
+	      ACCUM @@n += 1;
+	  PRINT @@n;
+	}`, true},
+	{"err_where_guarded", `CREATE QUERY Q() {
+	  SumAccum<int> @@n;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      WHERE s.flag AND to_datetime(s.name) > 0
+	      ACCUM @@n += 1;
+	  PRINT @@n;
+	}`, true},
+	{"err_where_div_zero", `CREATE QUERY Q() {
+	  SumAccum<int> @@n;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      WHERE s.score / (t.score - t.score) > 0
+	      ACCUM @@n += 1;
+	  PRINT @@n;
+	}`, true},
+	{"where_vacc", `CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  SumAccum<int> @@hits;
+	  A = SELECT t FROM N:s -(E>)- N:t ACCUM t.@n += 1;
+	  B = SELECT t FROM N:s -(E>)- N:t
+	      WHERE s.@n > 1 AND t.@n >= s.@n
+	      ACCUM @@hits += t.@n;
+	  PRINT @@hits;
+	}`, true},
+	{"where_rel_column", `CREATE QUERY Q() {
+	  SumAccum<int> @@k;
+	  SumAccum<int> @c;
+	  R = SELECT t FROM N:s -(E>)- N:t, Lbl:r
+	      WHERE r.name == t.name AND r.k > 1
+	      ACCUM @@k += r.k, t.@c += 1;
+	  PRINT @@k;
+	  PRINT R[R.name, R.@c];
+	}`, true},
+	{"where_run_local", `CREATE QUERY Q(int a) {
+	  SetAccum<int> @@pick;
+	  SumAccum<int> @@n;
+	  @@pick += a;
+	  @@pick += a + 2;
+	  FOREACH x IN @@pick DO
+	    R = SELECT t FROM N:s -(E>)- N:t WHERE s.score == x ACCUM @@n += x;
+	  END;
+	  PRINT @@n;
+	}`, true},
+	{"where_fused", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  SumAccum<int> @@b;
+	  X = SELECT t FROM N:s -(E>)- N:t WHERE s.score > 1 ACCUM @@a += s.score;
+	  Y = SELECT t FROM N:s -(E>)- N:t WHERE s.score > 1 ACCUM @@b += t.score;
+	  PRINT @@a, @@b;
+	}`, true},
+	// X.size() keeps this WHERE on the interpreter; its ACCUM compiles.
+	{"where_size_fallback", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  X = SELECT s FROM N:s WHERE s.score > 0;
+	  Y = SELECT t FROM N:s -(E>)- N:t WHERE X.size() > 2 AND s.flag ACCUM @@a += 1;
+	  PRINT @@a;
+	}`, true},
+}
+
+// compileDiffArgs supplies each corpus query's declared parameters by
+// name.
+var compileDiffArgs = map[string]value.Value{
+	"lo": value.NewInt(0),
+	"hi": value.NewFloat(10),
+	"nm": value.NewString("n1"),
+	"a":  value.NewInt(1),
+	"b":  value.NewInt(2),
+}
+
+// compileDiffTable is the relational table every corpus engine
+// registers (as "Lbl"); its names match some of the graph's vertices.
+func compileDiffTable(t *testing.T) *RelTable {
+	t.Helper()
+	tbl, err := NewRelTable("Lbl", []string{"name", "k"}, [][]value.Value{
+		{value.NewString("n0"), value.NewInt(1)},
+		{value.NewString("n1"), value.NewInt(2)},
+		{value.NewString("n2"), value.NewInt(3)},
+		{value.NewString("n3"), value.NewInt(4)},
+		{value.NewString("zz"), value.NewInt(5)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // compileDiffSig flattens everything observable about a run — globals
@@ -194,10 +325,21 @@ func runCompileDiff(t *testing.T, g *graph.Graph, src string, workers int) (cRes
 	t.Helper()
 	mk := func(disable bool) (*Result, error) {
 		e := New(g, Options{Workers: workers, MinParallelRows: 1, DisableAccumCompile: disable})
+		if err := e.RegisterTable(compileDiffTable(t)); err != nil {
+			t.Fatal(err)
+		}
 		if err := e.Install(src); err != nil {
 			t.Fatalf("install (disable=%v): %v", disable, err)
 		}
-		return e.Run("Q", nil)
+		params, err := e.QueryParams("Q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := map[string]value.Value{}
+		for _, p := range params {
+			args[p.Name] = compileDiffArgs[p.Name]
+		}
+		return e.Run("Q", args)
 	}
 	cRes, cErr = mk(false)
 	iRes, iErr = mk(true)
@@ -268,6 +410,206 @@ func TestCompiledKernelCancellation(t *testing.T) {
 			}
 			if _, err := e.RunCtx(ctx, "Q", nil); !errors.Is(err, ErrCancelled) {
 				t.Errorf("disable=%v workers=%d: want ErrCancelled, got %v", disable, w, err)
+			}
+		}
+	}
+
+	// A deadline that expires while a large compiled WHERE is filtering
+	// (expiry is simulated by cancelling with context.DeadlineExceeded
+	// as soon as the where span opens): the predicate's stride
+	// checkpoint must stop the run with ErrCancelled before ACCUM.
+	big := buildCompileDiffGraph(1500, 15000, 7)
+	e := New(big, Options{Workers: 2})
+	if err := e.Install(`CREATE QUERY W() {
+	  SumAccum<int> @@a;
+	  R = SELECT t FROM N:s -(E>)- N:m -(E>)- N:t
+	      WHERE s.score + m.score < t.score * 3 AND s.name != t.name AND m.weight >= 0.0
+	      ACCUM @@a += 1;
+	  PRINT @@a;
+	}`); err != nil {
+		t.Fatal(err)
+	}
+	root := trace.New("run")
+	dctx, expire := context.WithCancelCause(trace.NewContext(context.Background(), root))
+	defer expire(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for root.Find("where") == nil {
+			select {
+			case <-stop:
+				return
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+		expire(context.DeadlineExceeded)
+	}()
+	_, err := e.RunCtx(dctx, "W", nil)
+	close(stop)
+	wg.Wait()
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("deadline inside WHERE: want ErrCancelled, got %v", err)
+	}
+	if compiled, _ := root.Find("where").Attr("compiled"); compiled != true {
+		t.Fatalf("WHERE did not take the compiled path (compiled=%v)", compiled)
+	}
+	if root.Find("accum") != nil {
+		t.Fatal("the deadline expired after WHERE finished; the table is too small to test the WHERE checkpoint")
+	}
+}
+
+// installUnvalidated registers a query the install-time validator
+// would reject, so the lazy run-time errors it normally pre-empts stay
+// reachable to tests.
+func installUnvalidated(t *testing.T, e *Engine, src string) {
+	t.Helper()
+	f, err := gsql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, q := range f.Queries {
+		e.queries[q.Name] = q
+		e.plans[q.Name] = compileQuery(e, q)
+	}
+}
+
+// TestCompiledWhereLazyErrors pins the compiled predicate's lazy error
+// for an undeclared accumulator: it fires only on rows that evaluate
+// it, with the interpreter's text.
+func TestCompiledWhereLazyErrors(t *testing.T) {
+	g := buildCompileDiffGraph(12, 30, 3)
+	for _, tc := range []struct {
+		where   string
+		wantErr bool
+	}{
+		{"s.score > 100 AND @@nope > 1", false},
+		{"s.score > 100 OR @@nope > 1", true},
+		{"s.score > 100 OR s.@nope > 1", true},
+	} {
+		src := fmt.Sprintf(`CREATE QUERY Q() {
+		  SumAccum<int> @@n;
+		  R = SELECT t FROM N:s -(E>)- N:t WHERE %s ACCUM @@n += 1;
+		  PRINT @@n;
+		}`, tc.where)
+		var outs [2]string
+		for i, disable := range []bool{false, true} {
+			e := New(g, Options{DisableAccumCompile: disable})
+			installUnvalidated(t, e, src)
+			res, err := e.Run("Q", nil)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("%s (disable=%v): err = %v, want error %v", tc.where, disable, err, tc.wantErr)
+			}
+			if err != nil {
+				outs[i] = err.Error()
+			} else {
+				outs[i] = compileDiffSig(res)
+			}
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%s: compiled and interpreted diverged:\ncompiled:    %s\ninterpreted: %s", tc.where, outs[0], outs[1])
+		}
+	}
+}
+
+// TestSNBQueriesCompiledMatchInterpreter runs the five IC queries at
+// h = 2 and 3 plus Qacc on a compiling and an interpreting engine: the
+// results and the surviving binding rows must be identical, and every
+// WHERE on the compiling engine must take the compiled path.
+func TestSNBQueriesCompiledMatchInterpreter(t *testing.T) {
+	g := ldbc.Generate(ldbc.Config{SF: 0.2, Seed: 11})
+	pv, ok := g.VertexByKey("Person", "person0")
+	if !ok {
+		t.Fatal("person0 missing")
+	}
+	p, k := value.NewVertex(int64(pv)), value.NewInt(20)
+	argsOf := map[string]map[string]value.Value{
+		"ic3":  {"p": p, "countryX": value.NewString("Country-1"), "countryY": value.NewString("Country-2"), "k": k},
+		"ic5":  {"p": p, "minDate": graph.MustDatetime("2010-06-01"), "k": k},
+		"ic6":  {"p": p, "tagName": value.NewString("Tag-3"), "k": k},
+		"ic9":  {"p": p, "maxDate": graph.MustDatetime("2012-06-01"), "k": k},
+		"ic11": {"p": p, "countryName": value.NewString("Country-0"), "maxYear": value.NewInt(2010), "k": k},
+	}
+	type snbRun struct {
+		name, src string
+		args      map[string]value.Value
+	}
+	var runs []snbRun
+	for _, h := range []int{2, 3} {
+		for short, src := range ldbc.ICQueries(h) {
+			runs = append(runs, snbRun{ldbc.ICName(short, h), src, argsOf[short]})
+		}
+	}
+	runs = append(runs, snbRun{"Qacc", ldbc.QACC(), map[string]value.Value{
+		"lo": graph.MustDatetime("2010-01-01"),
+		"hi": graph.MustDatetime("2012-12-31"),
+	}})
+	compiled := New(g, Options{})
+	interp := New(g, Options{DisableAccumCompile: true})
+	for _, r := range runs {
+		for _, e := range []*Engine{compiled, interp} {
+			if err := e.Install(r.src); err != nil {
+				t.Fatalf("%s: install: %v", r.name, err)
+			}
+		}
+		root := trace.New("run")
+		cRes, err := compiled.RunCtx(trace.NewContext(context.Background(), root), r.name, r.args)
+		root.End()
+		if err != nil {
+			t.Fatalf("%s compiled: %v", r.name, err)
+		}
+		iRes, err := interp.Run(r.name, r.args)
+		if err != nil {
+			t.Fatalf("%s interpreted: %v", r.name, err)
+		}
+		if cs, is := compileDiffSig(cRes), compileDiffSig(iRes); cs != is {
+			t.Errorf("%s: results diverged\ncompiled:\n%s\ninterpreted:\n%s", r.name, cs, is)
+		}
+		if cRes.Stats.BindingRows != iRes.Stats.BindingRows {
+			t.Errorf("%s: binding rows %d compiled vs %d interpreted", r.name, cRes.Stats.BindingRows, iRes.Stats.BindingRows)
+		}
+		wheres := root.FindAll("where")
+		if len(wheres) == 0 {
+			t.Fatalf("%s: no where span", r.name)
+		}
+		for _, w := range wheres {
+			if c, _ := w.Attr("compiled"); c != true {
+				t.Errorf("%s: a WHERE ran interpreted", r.name)
+			}
+		}
+	}
+}
+
+// TestWhereSpanMarksCompiledPath checks the where span's compiled
+// attribute: true for a covered predicate, false for the X.size()
+// fallback and for every WHERE of an engine with compilation disabled.
+func TestWhereSpanMarksCompiledPath(t *testing.T) {
+	g := buildCompileDiffGraph(10, 30, 5)
+	const src = `CREATE QUERY Q() {
+	  X = SELECT s FROM N:s WHERE s.score > 0;
+	  Y = SELECT t FROM N:s -(E>)- N:t WHERE X.size() > 2;
+	}`
+	for _, disable := range []bool{false, true} {
+		e := New(g, Options{DisableAccumCompile: disable})
+		if err := e.Install(src); err != nil {
+			t.Fatal(err)
+		}
+		root := trace.New("run")
+		if _, err := e.RunCtx(trace.NewContext(context.Background(), root), "Q", nil); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		wheres := root.FindAll("where")
+		if len(wheres) != 2 {
+			t.Fatalf("disable=%v: %d where spans, want 2", disable, len(wheres))
+		}
+		for i, want := range []bool{!disable, false} {
+			if got, _ := wheres[i].Attr("compiled"); got != want {
+				t.Errorf("disable=%v: where %d compiled=%v, want %v", disable, i, got, want)
 			}
 		}
 	}

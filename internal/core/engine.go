@@ -56,10 +56,10 @@ type Options struct {
 	// tables). 0 selects a default; set 1 to force parallel expansion
 	// whenever Workers allows (differential tests do).
 	MinParallelRows int
-	// DisableAccumCompile turns off the compiled ACCUM/POST-ACCUM
-	// kernels and block fusion, forcing every clause through the
-	// tree-walking interpreter. Exists as the differential oracle and
-	// benchmark baseline.
+	// DisableAccumCompile turns off the compiled WHERE predicates,
+	// ACCUM/POST-ACCUM kernels and block fusion, forcing every clause
+	// through the tree-walking interpreter. Exists as the differential
+	// oracle and benchmark baseline.
 	DisableAccumCompile bool
 }
 

@@ -11,10 +11,11 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// This file is the runtime half of the compiled ACCUM/POST-ACCUM path:
-// the kprogram representation compile.go lowers clauses into, the
+// This file is the runtime half of the compiled WHERE/ACCUM/POST-ACCUM
+// path: the kprogram representation compile.go lowers clauses into, the
 // cheap per-clause-execution bind step that resolves name slots
-// against the actual binding table, and the sharded kernel executors.
+// against the actual binding table, the WHERE filter and the sharded
+// kernel executors.
 // Semantics are defined by select.go's interpreter — every stride,
 // error position, error string and merge order here replicates it
 // bit-for-bit (compile_diff_test.go holds the proof obligations).
@@ -74,8 +75,8 @@ type writeTarget struct {
 
 // kprogram is one compiled clause: instructions plus the slot tables
 // the per-execution bind step fills. Programs live in the engine's
-// plan cache and are shared by concurrent runs; all mutable state
-// lives in kbind/kctx/kdeltas.
+// plan cache and are shared by concurrent runs; all per-execution
+// state lives in kbind/kctx/kdeltas.
 type kprogram struct {
 	post   bool
 	instrs []kinstr // one per top-level clause statement
@@ -100,7 +101,13 @@ type kprogram struct {
 
 	attrOffsets int // attribute refs resolved to column offsets (explain)
 
-	bindPool sync.Pool // *kbind
+	// freeBinds holds the binds finished executions returned, for the
+	// next execution to reuse; it never holds more than the program's
+	// peak number of concurrent executions. Unlike a sync.Pool it
+	// survives GC and is not per-P, so a warm program's bind step
+	// allocates nothing.
+	bindMu    sync.Mutex
+	freeBinds []*kbind
 }
 
 func newKprogram(post bool) *kprogram {
@@ -191,17 +198,25 @@ type boundName struct {
 // kbind is the per-clause-execution binding of a program's slots:
 // name resolutions, the global-accumulator snapshot (safe because both
 // clauses stage global writes until after the clause) and vertex
-// store pointers. Pooled per program.
+// store pointers. Recycled per program.
 type kbind struct {
 	names   []boundName
 	gsnap   []value.Value
 	vstores []*vaccStore
+	// k is the WHERE filter's execution context, recycled with the
+	// bind so a filter pass allocates nothing.
+	k kctx
 }
 
 func (p *kprogram) getBind() *kbind {
-	if b, ok := p.bindPool.Get().(*kbind); ok {
+	p.bindMu.Lock()
+	if n := len(p.freeBinds); n > 0 {
+		b := p.freeBinds[n-1]
+		p.freeBinds = p.freeBinds[:n-1]
+		p.bindMu.Unlock()
 		return b
 	}
+	p.bindMu.Unlock()
 	return &kbind{
 		names:   make([]boundName, len(p.names)),
 		gsnap:   make([]value.Value, len(p.gsnaps)),
@@ -210,12 +225,15 @@ func (p *kprogram) getBind() *kbind {
 }
 
 func (p *kprogram) putBind(b *kbind) {
-	// Drop references so a pooled bind does not pin a finished run's
+	// Drop references so a recycled bind does not pin a finished run's
 	// values and stores.
 	clear(b.names)
 	clear(b.gsnap)
 	clear(b.vstores)
-	p.bindPool.Put(b)
+	b.k = kctx{}
+	p.bindMu.Lock()
+	p.freeBinds = append(p.freeBinds, b)
+	p.bindMu.Unlock()
 }
 
 func (p *kprogram) bindShared(rs *runState, b *kbind) {
@@ -692,6 +710,38 @@ func (k *kctx) runPostInstrs(instrs []kinstr) error {
 
 // ---- clause executors ---------------------------------------------------------
 
+// filterWhereCompiled is filterWhere over a compiled predicate: names
+// bind once per execution in the interpreter's WHERE resolution order
+// (aliases, run locals, parameters, null), then one serial pass keeps
+// the rows whose predicate is truthy — same rows, same cancellation
+// stride, same first error in row order and the same wrap.
+func (rs *runState) filterWhereCompiled(p *kprogram, pred *cexpr, bt *bindingTable) error {
+	b := p.getBind()
+	defer p.putBind(b)
+	p.bindShared(rs, b)
+	p.bindAccumNames(rs, bt, b)
+	k := &b.k
+	*k = kctx{rs: rs, b: b}
+	out := bt.rows[:0]
+	for ri := range bt.rows {
+		if ri&4095 == 0 {
+			if err := rs.checkCancel(); err != nil {
+				return err
+			}
+		}
+		k.row = &bt.rows[ri]
+		ok, err := pred.fn(k)
+		if err != nil {
+			return fmt.Errorf("WHERE: %w", err)
+		}
+		if ok.Truthy() {
+			out = append(out, bt.rows[ri])
+		}
+	}
+	bt.rows = out
+	return nil
+}
+
 // mergeKernelDeltas reduces one worker's staged deltas for one program
 // into the live stores.
 func (rs *runState) mergeKernelDeltas(p *kprogram, d *kdeltas) error {
@@ -1013,15 +1063,8 @@ func (rs *runState) runFusedGroup(g *fusionGroup) error {
 	if err != nil {
 		return err
 	}
-	if first.Where != nil {
-		wsp := sp.Start("where")
-		wsp.SetInt("rows_in", int64(len(bt.rows)))
-		err := rs.filterWhere(bt, first.Where)
-		wsp.SetInt("rows_out", int64(len(bt.rows)))
-		wsp.End()
-		if err != nil {
-			return err
-		}
+	if err := rs.runWhere(first, bt, sp); err != nil {
+		return err
 	}
 	rs.res.Stats.Selects += int64(len(g.sels))
 	rs.res.Stats.BindingRows += int64(len(bt.rows))

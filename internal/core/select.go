@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"gsqlgo/internal/accum"
@@ -23,15 +24,8 @@ func (rs *runState) runSelect(sel *gsql.SelectExpr, assignTo string) error {
 	if err != nil {
 		return err
 	}
-	if sel.Where != nil {
-		wsp := sp.Start("where")
-		wsp.SetInt("rows_in", int64(len(bt.rows)))
-		err := rs.filterWhere(bt, sel.Where)
-		wsp.SetInt("rows_out", int64(len(bt.rows)))
-		wsp.End()
-		if err != nil {
-			return err
-		}
+	if err := rs.runWhere(sel, bt, sp); err != nil {
+		return err
 	}
 	rs.res.Stats.Selects++
 	rs.res.Stats.BindingRows += int64(len(bt.rows))
@@ -82,6 +76,28 @@ func (rs *runState) runPostAndOutputs(sel *gsql.SelectExpr, bt *bindingTable, as
 	osp := sp.Start("output")
 	err := rs.emitOutputs(sel, bt, assignTo)
 	osp.End()
+	return err
+}
+
+// runWhere filters the binding table by the block's WHERE clause, if
+// any: through the compiled predicate when the plan holds one, else
+// through the interpreter.
+func (rs *runState) runWhere(sel *gsql.SelectExpr, bt *bindingTable, sp *trace.Span) error {
+	if sel.Where == nil {
+		return nil
+	}
+	wsp := sp.Start("where")
+	wsp.SetInt("rows_in", int64(len(bt.rows)))
+	var err error
+	if cs := rs.compiledSel(sel); cs != nil && cs.where != nil {
+		wsp.SetBool("compiled", true)
+		err = rs.filterWhereCompiled(cs.whereProg, cs.where, bt)
+	} else {
+		wsp.SetBool("compiled", false)
+		err = rs.filterWhere(bt, sel.Where)
+	}
+	wsp.SetInt("rows_out", int64(len(bt.rows)))
+	wsp.End()
 	return err
 }
 
@@ -778,11 +794,6 @@ func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOut
 		combos = append(combos, comboRow{env: en, vals: vals, keys: keys})
 		return nil
 	}
-	if len(bt.rows) == 0 && len(vertCols) == 0 && len(edgeCols) == 0 && len(relCols) == 0 {
-		// Global-only fragment over an empty match set still has no
-		// rows to witness it; mirror SQL and emit one row only when
-		// matches exist.
-	}
 	for _, row := range bt.rows {
 		if err := addCombo(row); err != nil {
 			return nil, err
@@ -852,7 +863,7 @@ func comboKey(row bindingRow, vertCols, edgeCols, relCols []int) string {
 }
 
 func appendInt(b []byte, n int) []byte {
-	return append(b, fmt.Sprintf("%d,", n)...)
+	return append(strconv.AppendInt(b, int64(n), 10), ',')
 }
 
 // referencedCols finds the binding-table columns the items touch.
