@@ -175,6 +175,28 @@ func BenchmarkSNBIC(b *testing.B) {
 	}
 }
 
+// BenchmarkQacc times one Qacc run as the benchmark's analytic
+// workload issues it (SF 0.3, the same date window, two workers): the
+// SELECT block plus the PRINT size(...) tail that follows it.
+func BenchmarkQacc(b *testing.B) {
+	g := ldbc.Generate(ldbc.Config{SF: 0.3, Seed: 7})
+	e := core.New(g, core.Options{Workers: 2})
+	if err := e.Install(ldbc.QACC()); err != nil {
+		b.Fatal(err)
+	}
+	args := map[string]value.Value{
+		"lo": value.NewDatetime(1230768000), // 2009-01-01
+		"hi": value.NewDatetime(1356998400), // 2013-01-01
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run("Qacc", args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func snbArgs(short string, p graph.VID) map[string]value.Value {
 	pv := value.NewVertex(int64(p))
 	k := value.NewInt(20)

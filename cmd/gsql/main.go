@@ -309,9 +309,10 @@ func fprintResult(w io.Writer, res *core.Result) {
 	if res.Returned != nil {
 		fmt.Fprintf(w, "== RETURN ==\n%s\n", res.Returned)
 	}
-	if len(res.Globals) > 0 {
+	if names := res.GlobalNames(); len(names) > 0 {
 		fmt.Fprintln(w, "== GLOBAL ACCUMULATORS ==")
-		for name, v := range res.Globals {
+		for _, name := range names {
+			v, _ := res.Global(name)
 			fmt.Fprintf(w, "@@%s = %s\n", name, v)
 		}
 	}

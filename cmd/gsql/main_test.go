@@ -1,8 +1,10 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
+	"gsqlgo/internal/core"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/match"
 	"gsqlgo/internal/value"
@@ -109,5 +111,58 @@ func TestLoadGraphValidation(t *testing.T) {
 	}
 	if _, err := loadGraph("/nonexistent-dir-xyz", ""); err == nil {
 		t.Error("missing data dir must error")
+	}
+}
+
+// TestFprintResultGolden pins the exact result rendering: PRINT items
+// in order, INTO tables and global accumulators sorted by name, so
+// repeated runs print byte-identical output.
+func TestFprintResultGolden(t *testing.T) {
+	e := core.New(graph.BuildG1(), core.Options{})
+	res, err := e.InstallAndRun(`CREATE QUERY Golden() {
+  SumAccum<int> @@zeta;
+  MaxAccum<int> @@alpha;
+  SetAccum<string> @@mid;
+  ListAccum<int> @@beta;
+  SumAccum<int> @in;
+  S = SELECT t FROM V:s -(E>)- V:t WHERE t.name == "4"
+      ACCUM t.@in += 1, @@zeta += 1, @@mid += s.name;
+  @@alpha += 7;
+  @@beta += 2;
+  SELECT t.name AS name, t.@in AS indeg INTO Top FROM S:t;
+  PRINT @@zeta, size(@@mid);
+  RETURN S;
+}`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fprintResult(&b, res)
+	want := strings.Join([]string{
+		"== PRINT @@zeta ==",
+		"@@zeta",
+		"3",
+		"",
+		"== PRINT size ==",
+		"size",
+		"3",
+		"",
+		"== TABLE Top ==",
+		"name\tindeg",
+		"4\t3",
+		"",
+		"== RETURN ==",
+		"S",
+		"4",
+		"",
+		"== GLOBAL ACCUMULATORS ==",
+		"@@alpha = 7",
+		"@@beta = [2]",
+		"@@mid = {12, 3, 6}",
+		"@@zeta = 3",
+		"",
+	}, "\n")
+	if got := b.String(); got != want {
+		t.Errorf("fprintResult mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

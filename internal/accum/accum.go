@@ -60,7 +60,7 @@ func New(s *Spec) (Accumulator, error) {
 	case KindBitwiseOr:
 		return &bitwise{spec: s}, nil
 	case KindSet:
-		return &set{spec: s, elems: map[string]value.Value{}}, nil
+		return &set{spec: s, elems: map[string]setEntry{}}, nil
 	case KindBag:
 		return &bag{spec: s, elems: map[string]bagEntry{}}, nil
 	case KindList, KindArray:
@@ -86,6 +86,41 @@ func MustNew(s *Spec) Accumulator {
 		panic(err)
 	}
 	return a
+}
+
+// Size reports how many elements (lists, heaps, sets) or entries
+// (bags, maps, group-bys) a.Value() holds, counted in the container
+// instead of materialising and sorting that value. ok is false for an
+// accumulator that is not a container, and for a keyed container
+// holding a key that is not value.KeyExact: Value's Compare-based
+// dedup could merge entries Key keeps apart there, so the caller must
+// count a.Value() itself.
+func Size(a Accumulator) (n int, ok bool) {
+	switch a := a.(type) {
+	case *list:
+		return len(a.elems), true
+	case *heap:
+		return len(a.elems), true
+	case *set:
+		return exactLen(a.elems, func(e setEntry) value.Value { return e.v })
+	case *bag:
+		return exactLen(a.elems, func(e bagEntry) value.Value { return e.v })
+	case *mapAcc:
+		return exactLen(a.entries, func(e *mapEntry) value.Value { return e.key })
+	case *groupBy:
+		return exactLen(a.groups, func(g *group) value.Value { return value.NewTuple(g.keys) })
+	}
+	return 0, false
+}
+
+// exactLen is len(m) when the key value of every entry is KeyExact.
+func exactLen[E any](m map[string]E, key func(E) value.Value) (int, bool) {
+	for _, e := range m {
+		if !key(e).KeyExact() {
+			return 0, false
+		}
+	}
+	return len(m), true
 }
 
 func mismatch(s *Spec, v value.Value) error {

@@ -11,7 +11,16 @@ import (
 // set deduplicates inputs; multiplicity is irrelevant by definition.
 type set struct {
 	spec  *Spec
-	elems map[string]value.Value
+	elems map[string]setEntry
+	key   []byte // Input's scratch key buffer (see groupBy.key)
+}
+
+// setEntry is one set element with its own key string, so an input
+// equal to a present element overwrites it in place (the last input
+// wins, as with a keyed assignment) without allocating a new key.
+type setEntry struct {
+	key string
+	v   value.Value
 }
 
 func (a *set) Spec() *Spec { return a.spec }
@@ -20,16 +29,24 @@ func (a *set) Input(v value.Value, mult uint64) error {
 	if v.Kind() != a.spec.Elem && !(a.spec.Elem == value.KindFloat && v.Kind() == value.KindInt) {
 		return mismatch(a.spec, v)
 	}
-	a.elems[v.Key()] = v
+	a.key = v.AppendKey(a.key[:0])
+	if e, ok := a.elems[string(a.key)]; ok {
+		e.v = v
+		a.elems[e.key] = e
+		return nil
+	}
+	k := string(a.key)
+	a.elems[k] = setEntry{key: k, v: v}
 	return nil
 }
 
 func (a *set) Assign(v value.Value) error {
 	switch v.Kind() {
 	case value.KindSet, value.KindList:
-		fresh := make(map[string]value.Value, len(v.Elems()))
+		fresh := make(map[string]setEntry, len(v.Elems()))
 		for _, e := range v.Elems() {
-			fresh[e.Key()] = e
+			k := e.Key()
+			fresh[k] = setEntry{key: k, v: e}
 		}
 		a.elems = fresh
 		return nil
@@ -42,22 +59,22 @@ func (a *set) Merge(other Accumulator) error {
 	if !ok {
 		return mergeMismatch(a.spec, other)
 	}
-	for k, v := range o.elems {
-		a.elems[k] = v
+	for k, e := range o.elems {
+		a.elems[k] = e
 	}
 	return nil
 }
 
 func (a *set) Value() value.Value {
 	out := make([]value.Value, 0, len(a.elems))
-	for _, v := range a.elems {
-		out = append(out, v)
+	for _, e := range a.elems {
+		out = append(out, e.v)
 	}
 	return value.NewSet(out)
 }
 
 func (a *set) Clone() Accumulator {
-	c := &set{spec: a.spec, elems: make(map[string]value.Value, len(a.elems))}
+	c := &set{spec: a.spec, elems: make(map[string]setEntry, len(a.elems))}
 	for k, v := range a.elems {
 		c.elems[k] = v
 	}
@@ -67,6 +84,7 @@ func (a *set) Clone() Accumulator {
 // ---- BagAccum ---------------------------------------------------------------
 
 type bagEntry struct {
+	key   string // the entry's map key, reused to update it in place
 	v     value.Value
 	count uint64
 }
@@ -76,6 +94,7 @@ type bagEntry struct {
 type bag struct {
 	spec  *Spec
 	elems map[string]bagEntry
+	key   []byte // Input's scratch key buffer (see groupBy.key)
 }
 
 func (a *bag) Spec() *Spec { return a.spec }
@@ -84,11 +103,14 @@ func (a *bag) Input(v value.Value, mult uint64) error {
 	if v.Kind() != a.spec.Elem && !(a.spec.Elem == value.KindFloat && v.Kind() == value.KindInt) {
 		return mismatch(a.spec, v)
 	}
-	k := v.Key()
-	e := a.elems[k]
+	a.key = v.AppendKey(a.key[:0])
+	e, ok := a.elems[string(a.key)]
+	if !ok {
+		e.key = string(a.key)
+	}
 	e.v = v
 	e.count += mult
-	a.elems[k] = e
+	a.elems[e.key] = e
 	return nil
 }
 
@@ -99,6 +121,7 @@ func (a *bag) Assign(v value.Value) error {
 		for _, e := range v.Elems() {
 			k := e.Key()
 			en := fresh[k]
+			en.key = k
 			en.v = e
 			en.count++
 			fresh[k] = en
@@ -116,6 +139,7 @@ func (a *bag) Merge(other Accumulator) error {
 	}
 	for k, oe := range o.elems {
 		e := a.elems[k]
+		e.key = k
 		e.v = oe.v
 		e.count += oe.count
 		a.elems[k] = e
@@ -202,6 +226,7 @@ type mapEntry struct {
 type mapAcc struct {
 	spec    *Spec
 	entries map[string]*mapEntry
+	key     []byte // Input's scratch key buffer (see groupBy.key)
 }
 
 func (a *mapAcc) Spec() *Spec { return a.spec }
@@ -211,15 +236,15 @@ func (a *mapAcc) Input(v value.Value, mult uint64) error {
 		return mismatch(a.spec, v)
 	}
 	key, in := v.Elems()[0], v.Elems()[1]
-	k := key.Key()
-	e := a.entries[k]
+	a.key = key.AppendKey(a.key[:0])
+	e := a.entries[string(a.key)]
 	if e == nil {
 		nested, err := New(a.spec.Nested[0])
 		if err != nil {
 			return err
 		}
 		e = &mapEntry{key: key, acc: nested}
-		a.entries[k] = e
+		a.entries[string(a.key)] = e
 	}
 	return e.acc.Input(in, mult)
 }

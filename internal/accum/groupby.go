@@ -2,7 +2,6 @@ package accum
 
 import (
 	"fmt"
-	"strings"
 
 	"gsqlgo/internal/value"
 )
@@ -22,6 +21,11 @@ type group struct {
 type groupBy struct {
 	spec   *Spec
 	groups map[string]*group
+	// key is Input's scratch buffer for the composite group key, so
+	// an input to an existing group allocates nothing. Each instance is
+	// fed by one goroutine (parallel ACCUM workers fold into deltas of
+	// their own), so the buffer needs no lock.
+	key []byte
 }
 
 func (a *groupBy) Spec() *Spec { return a.spec }
@@ -36,13 +40,12 @@ func (a *groupBy) Input(v value.Value, mult uint64) error {
 	}
 	elems := v.Elems()
 	keys := elems[:nk]
-	var kb strings.Builder
+	a.key = a.key[:0]
 	for _, k := range keys {
-		kb.WriteString(k.Key())
-		kb.WriteByte('|')
+		a.key = k.AppendKey(a.key)
+		a.key = append(a.key, '|')
 	}
-	gk := kb.String()
-	g := a.groups[gk]
+	g := a.groups[string(a.key)]
 	if g == nil {
 		g = &group{keys: append([]value.Value(nil), keys...), accs: make([]Accumulator, na)}
 		for i, ns := range a.spec.Nested {
@@ -52,7 +55,7 @@ func (a *groupBy) Input(v value.Value, mult uint64) error {
 			}
 			g.accs[i] = nested
 		}
-		a.groups[gk] = g
+		a.groups[string(a.key)] = g
 	}
 	for i := 0; i < na; i++ {
 		in := elems[nk+i]

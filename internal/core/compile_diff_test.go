@@ -294,13 +294,9 @@ func compileDiffTable(t *testing.T) *RelTable {
 // they are bit-identical.
 func compileDiffSig(res *Result) string {
 	var sb strings.Builder
-	gnames := make([]string, 0, len(res.Globals))
-	for n := range res.Globals {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(&sb, "@@%s=%v\n", n, res.Globals[n])
+	for _, n := range res.GlobalNames() {
+		v, _ := res.Global(n)
+		fmt.Fprintf(&sb, "@@%s=%v\n", n, v)
 	}
 	tnames := make([]string, 0, len(res.Tables))
 	for n := range res.Tables {

@@ -213,9 +213,10 @@ func TestRunsAreIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !value.Equal(r1.Globals["totalRevenue"], r2.Globals["totalRevenue"]) {
-		t.Errorf("state leaked across runs: %v vs %v",
-			r1.Globals["totalRevenue"], r2.Globals["totalRevenue"])
+	v1, _ := r1.Global("totalRevenue")
+	v2, _ := r2.Global("totalRevenue")
+	if !value.Equal(v1, v2) {
+		t.Errorf("state leaked across runs: %v vs %v", v1, v2)
 	}
 	if len(r1.Tables["PerCust"].Rows) != len(r2.Tables["PerCust"].Rows) {
 		t.Error("table shapes differ across runs")

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gsqlgo/internal/accum"
 	"gsqlgo/internal/darpe"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/gsql"
@@ -234,9 +235,6 @@ type Result struct {
 	// Returned holds the RETURN value (nil if the query does not
 	// return).
 	Returned *Table
-	// Globals exposes the final values of the query's global
-	// accumulators (diagnostics and tests).
-	Globals map[string]value.Value
 	// Stats carries run-level execution counters for observability.
 	Stats RunStats
 	// Profile is the run's span tree when the context carried a trace
@@ -244,6 +242,32 @@ type Result struct {
 	// not End the root — the caller that created it does, after which
 	// it can be rendered (trace.Render) or marshaled.
 	Profile *trace.Span
+
+	// globals are the run's global accumulators in their final state.
+	// The run that owned them has finished, so Global reads them without
+	// a lock; a value is built only when asked for.
+	globals map[string]accum.Accumulator
+}
+
+// Global returns the final value of the query's global accumulator
+// @@name (diagnostics and tests), materialised on each call; ok is
+// false when the query declares no such accumulator.
+func (r *Result) Global(name string) (v value.Value, ok bool) {
+	a, ok := r.globals[name]
+	if !ok {
+		return value.Null, false
+	}
+	return a.Value(), true
+}
+
+// GlobalNames lists the query's global accumulators, sorted.
+func (r *Result) GlobalNames() []string {
+	names := make([]string, 0, len(r.globals))
+	for name := range r.globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // RunStats aggregates execution counters over one run — the raw
@@ -349,9 +373,7 @@ func (e *Engine) RunOn(ctx context.Context, g *graph.Graph, name string, args ma
 		}
 		return nil, fmt.Errorf("core: query %s: %w", name, err)
 	}
-	for gname, acc := range rs.globals {
-		rs.res.Globals[gname] = acc.Value()
-	}
+	rs.res.globals = rs.globals
 	return rs.res, nil
 }
 

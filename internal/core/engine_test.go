@@ -82,7 +82,8 @@ func TestFigure2MultiAggregation(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		perCust, perToy, total := salesOracle(e.Graph())
-		if got := res.Globals["totalRevenue"].Float(); !approxEq(got, total) {
+		gv, _ := res.Global("totalRevenue")
+		if got := gv.Float(); !approxEq(got, total) {
 			t.Errorf("workers=%d: total = %v, want %v", workers, got, total)
 		}
 		checkTable := func(name string, oracle map[string]float64) {

@@ -249,6 +249,9 @@ func (rs *runState) execForeach(n *gsql.ForeachStmt) (bool, error) {
 }
 
 func (rs *runState) execPrint(n *gsql.PrintStmt) error {
+	sp := rs.prof.Start("print")
+	sp.SetInt("items", int64(len(n.Items)))
+	defer sp.End()
 	for _, item := range n.Items {
 		if item.Projections != nil {
 			t, err := rs.printProjection(item)
@@ -318,6 +321,9 @@ func (rs *runState) vsetTable(name string, ids []graph.VID) *Table {
 }
 
 func (rs *runState) execReturn(n *gsql.ReturnStmt) error {
+	sp := rs.prof.Start("return")
+	sp.SetInt("items", 1)
+	defer sp.End()
 	if id, ok := n.Expr.(*gsql.Ident); ok {
 		if t, ok := rs.res.Tables[id.Name]; ok {
 			rs.res.Returned = t

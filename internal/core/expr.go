@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"gsqlgo/internal/accum"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/gsql"
 	"gsqlgo/internal/value"
@@ -307,6 +308,9 @@ func (rs *runState) evalCall(n *gsql.Call, en *env) (value.Value, error) {
 	if isAggregateCall(n) {
 		return value.Null, fmt.Errorf("aggregate %s(...) is only valid in a SELECT with GROUP BY", n.Name)
 	}
+	if sz, ok := rs.globalSize(n, en); ok {
+		return value.NewInt(int64(sz)), nil
+	}
 	args := make([]value.Value, len(n.Args))
 	for i, a := range n.Args {
 		v, err := rs.eval(a, en)
@@ -316,6 +320,27 @@ func (rs *runState) evalCall(n *gsql.Call, en *env) (value.Value, error) {
 		args[i] = v
 	}
 	return evalBuiltin(n.Name, args)
+}
+
+// globalSize answers size(@@acc) from the accumulator's container
+// (accum.Size) rather than materialising, sorting and then counting its
+// value. ok is false whenever the general path must run instead: any
+// other call, an argument a GROUP BY key could substitute, an
+// undeclared accumulator (whose error eval reports), or a container
+// accum.Size declines to count.
+func (rs *runState) globalSize(n *gsql.Call, en *env) (int, bool) {
+	if len(n.Args) != 1 || en.groupKeys != nil {
+		return 0, false
+	}
+	ref, ok := n.Args[0].(*gsql.GlobalAccRef)
+	if !ok || lower(n.Name) != "size" {
+		return 0, false
+	}
+	a, ok := rs.globals[ref.Name]
+	if !ok {
+		return 0, false
+	}
+	return accum.Size(a)
 }
 
 func (rs *runState) evalMethod(n *gsql.Call, en *env) (value.Value, error) {

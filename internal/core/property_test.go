@@ -105,7 +105,7 @@ CREATE QUERY Collect(string srcName, string tgtName) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Globals["names"]; len(got.Elems()) != 8 {
+	if got, _ := res.Global("names"); len(got.Elems()) != 8 {
 		t.Errorf("list under multiplicity 8: %v", got)
 	}
 }

@@ -764,12 +764,13 @@ func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOut
 	}
 	var combos []comboRow
 	seen := map[string]bool{}
+	var kb []byte // reused key buffer: probing seen[string(kb)] allocates nothing
 	addCombo := func(row bindingRow) error {
-		key := comboKey(row, vertCols, edgeCols, relCols)
-		if seen[key] {
+		kb = appendComboKey(kb[:0], row, vertCols, edgeCols, relCols)
+		if seen[string(kb)] {
 			return nil
 		}
-		seen[key] = true
+		seen[string(kb)] = true
 		en := bt.rowEnv(row)
 		vals := make([]value.Value, len(out.Items))
 		for i, item := range out.Items {
@@ -804,11 +805,11 @@ func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOut
 		seenVals := map[string]bool{}
 		outRows := combos[:0]
 		for _, c := range combos {
-			k := value.NewTuple(c.vals).Key()
-			if seenVals[k] {
+			kb = value.NewTuple(c.vals).AppendKey(kb[:0])
+			if seenVals[string(kb)] {
 				continue
 			}
-			seenVals[k] = true
+			seenVals[string(kb)] = true
 			outRows = append(outRows, c)
 		}
 		combos = outRows
@@ -844,9 +845,9 @@ func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOut
 	return t, nil
 }
 
-// comboKey keys a row by the referenced columns only.
-func comboKey(row bindingRow, vertCols, edgeCols, relCols []int) string {
-	var sb []byte
+// appendComboKey appends to sb the key of a row by the referenced
+// columns only.
+func appendComboKey(sb []byte, row bindingRow, vertCols, edgeCols, relCols []int) []byte {
 	for _, c := range vertCols {
 		sb = appendInt(sb, int(row.verts[c]))
 	}
@@ -856,10 +857,10 @@ func comboKey(row bindingRow, vertCols, edgeCols, relCols []int) string {
 	}
 	sb = append(sb, '|')
 	for _, c := range relCols {
-		sb = append(sb, row.rels[c].Key()...)
+		sb = row.rels[c].AppendKey(sb)
 		sb = append(sb, ',')
 	}
-	return string(sb)
+	return sb
 }
 
 func appendInt(b []byte, n int) []byte {

@@ -128,10 +128,7 @@ func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, args map[string]value
 		vsets:     map[string][]graph.VID{},
 		globals:   map[string]accum.Accumulator{},
 		vaccs:     map[string]*vaccStore{},
-		res: &Result{
-			Tables:  map[string]*Table{},
-			Globals: map[string]value.Value{},
-		},
+		res:       &Result{Tables: map[string]*Table{}},
 	}
 	switch q.Semantics {
 	case "":

@@ -271,8 +271,8 @@ func TestAppendixBQueriesAgree(t *testing.T) {
 		}
 	}
 	// The per-year heaps (wanted in both) must be identical.
-	gsVal := rgs.Globals["gs1"]
-	accVal := racc.Globals["peryear"]
+	gsVal, _ := rgs.Global("gs1")
+	accVal, _ := racc.Global("peryear")
 	gsPairs := gsVal.Pairs()
 	accPairs := accVal.Pairs()
 	if len(gsPairs) != len(accPairs) {

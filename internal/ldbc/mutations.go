@@ -36,10 +36,10 @@ type Mutation struct {
 	// Key addresses the vertex for add_vertex and set_attr.
 	Key string `json:"key,omitempty"`
 	// Src/Dst address the endpoints for add_edge.
-	SrcType string `json:"src_type,omitempty"`
-	SrcKey  string `json:"src_key,omitempty"`
-	DstType string `json:"dst_type,omitempty"`
-	DstKey  string `json:"dst_key,omitempty"`
+	SrcType string         `json:"src_type,omitempty"`
+	SrcKey  string         `json:"src_key,omitempty"`
+	DstType string         `json:"dst_type,omitempty"`
+	DstKey  string         `json:"dst_key,omitempty"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 

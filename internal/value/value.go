@@ -142,7 +142,6 @@ func NewMap(pairs []Pair) Value {
 	for i, p := range pairs {
 		if i > 0 && Equal(p.Key, out[len(out)-1].Key) {
 			out[len(out)-1] = p
-			_ = i
 			continue
 		}
 		out = append(out, p)
@@ -396,52 +395,82 @@ func compareSlices(a, b []Value) int {
 
 // Key returns a string that is equal for equal values and distinct for
 // distinct values, suitable for use as a Go map key (e.g. grouping).
+// It is AppendKey's encoding; callers probing a map in a loop should
+// append into a reused buffer and look up m[string(buf)] instead, which
+// does not allocate.
 func (v Value) Key() string {
-	var sb strings.Builder
-	v.appendKey(&sb)
-	return sb.String()
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
 }
 
-func (v Value) appendKey(sb *strings.Builder) {
-	// Normalize int-valued floats so 1 and 1.0 share a key, matching
-	// Compare's numeric cross-kind equality.
+// AppendKey appends v's key encoding to b and returns the extended
+// slice; it only appends, never writing b[:len(b)]. The encoding is a
+// kind tag followed by the payload, length-prefixed where the payload
+// is variable, so concatenated keys stay unambiguous. An int-valued
+// float within ±2^62 encodes as the KindInt it equals, so 1 and 1.0
+// share a key as Compare's numeric cross-kind equality demands.
+func (v Value) AppendKey(b []byte) []byte {
 	if v.kind == KindFloat && v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= -1<<62 && v.f <= 1<<62 {
 		v = NewInt(int64(v.f))
 	}
-	sb.WriteByte(byte('A' + v.kind))
+	b = append(b, byte('A'+v.kind))
 	switch v.kind {
 	case KindNull:
 	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
-		sb.WriteString(strconv.FormatInt(v.i, 36))
+		b = strconv.AppendInt(b, v.i, 36)
 	case KindFloat:
-		sb.WriteString(strconv.FormatUint(math.Float64bits(v.f), 36))
+		b = strconv.AppendUint(b, math.Float64bits(v.f), 36)
 	case KindString:
-		sb.WriteString(strconv.Itoa(len(v.s)))
-		sb.WriteByte(':')
-		sb.WriteString(v.s)
+		b = strconv.AppendInt(b, int64(len(v.s)), 10)
+		b = append(b, ':')
+		b = append(b, v.s...)
 	case KindTuple, KindList, KindSet:
-		sb.WriteString(strconv.Itoa(len(v.elems)))
+		b = strconv.AppendInt(b, int64(len(v.elems)), 10)
 		for _, e := range v.elems {
-			sb.WriteByte('(')
-			e.appendKey(sb)
-			sb.WriteByte(')')
+			b = append(b, '(')
+			b = e.AppendKey(b)
+			b = append(b, ')')
 		}
 	case KindMap:
-		sb.WriteString(strconv.Itoa(len(v.pairs)))
+		b = strconv.AppendInt(b, int64(len(v.pairs)), 10)
 		for _, p := range v.pairs {
-			sb.WriteByte('[')
-			p.Key.appendKey(sb)
-			sb.WriteByte('=')
-			p.Val.appendKey(sb)
-			sb.WriteByte(']')
+			b = append(b, '[')
+			b = p.Key.AppendKey(b)
+			b = append(b, '=')
+			b = p.Val.AppendKey(b)
+			b = append(b, ']')
 		}
 	}
+	return b
 }
 
-// Normalize int-kind key prefix: KindInt must serialize identically for
-// int and int-valued float (see appendKey). This dummy reference keeps
-// the invariant close to the code it documents.
-var _ = KindInt
+// KeyExact reports whether Key agrees with Equal on v: two KeyExact
+// values have equal keys exactly when they are Equal. Key is strictly
+// finer than Equal only where Compare's numeric equality is not
+// transitive — a NaN (equal to every number) or an int beyond ±2^53
+// (equal, once rounded to float64, to a float or int of another key) —
+// so v is KeyExact unless it holds one of those anywhere inside it.
+func (v Value) KeyExact() bool {
+	switch v.kind {
+	case KindInt:
+		return v.i >= -1<<53 && v.i <= 1<<53
+	case KindFloat:
+		return !math.IsNaN(v.f)
+	case KindTuple, KindList, KindSet:
+		for _, e := range v.elems {
+			if !e.KeyExact() {
+				return false
+			}
+		}
+	case KindMap:
+		for _, p := range v.pairs {
+			if !p.Key.KeyExact() || !p.Val.KeyExact() {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // String renders the value for display (PRINT output, test failures).
 func (v Value) String() string {
