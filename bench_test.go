@@ -362,8 +362,7 @@ CREATE QUERY Revenue() {
 // BenchmarkExpandPipeline measures the counted-hop expansion pipeline
 // on an LDBC SNB graph three ways: serial sharding baseline, parallel
 // shards with the cache disabled, and warm engine-level count cache
-// (zero SDMC runs per iteration). cmd/benchtables -suite expand emits
-// the same comparison as BENCH_expand.json.
+// (zero SDMC runs per iteration).
 func BenchmarkExpandPipeline(b *testing.B) {
 	g := ldbc.Generate(ldbc.Config{SF: 0.1, Seed: 7})
 	src := `

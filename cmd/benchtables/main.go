@@ -11,21 +11,8 @@
 // Scale knobs (-maxn, -sf, -hops, -timeout) default to laptop-friendly
 // sizes; raise them to approach the paper's ranges.
 //
-// -json FILE additionally runs a microbenchmark suite (-suite kernel,
-// -suite server or -suite expand) and writes machine-readable results
-// as {"meta": {go_version, gomaxprocs, num_cpu, commit, …},
-// "benchmarks": {name: {ns_per_op, allocs_per_op, bytes_per_op}}} —
-// the convention is `-json BENCH_csr.json` for the kernel suite,
-// `-json BENCH_server.json -suite server` for the serving path,
-// `-json BENCH_expand.json -suite expand` for the pattern-expansion
-// pipeline, `-json BENCH_storage.json -suite storage` for the
-// durability layer (snapshot codec MB/s, WAL append, recovery replay)
-// `-json BENCH_trace.json -suite trace` for the tracing overhead
-// guard (disabled vs enabled runs plus span primitives) and
-// `-json BENCH_fusion.json -suite fusion` for the compiled ACCUM
-// kernels and multi-accumulator fusion, all committed so the perf
-// trajectory is tracked across PRs. An unknown -suite fails
-// immediately, before any table work.
+// An unknown -table name exits 2, listing the valid ones, before any
+// table work runs.
 package main
 
 import (
@@ -33,7 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,38 +28,32 @@ import (
 	"gsqlgo/internal/bench"
 )
 
+// tables lists the valid -table values.
+var tables = []string{"1", "snb", "appb", "sdmc", "ablation", "all"}
+
+// checkTable rejects a -table value that names no table, so a typo
+// fails loudly instead of silently running nothing.
+func checkTable(name string) error {
+	if slices.Contains(tables, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -table %q (valid: %s)", name, strings.Join(tables, "|"))
+}
+
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1|snb|appb|sdmc|ablation|all")
+	table := flag.String("table", "all", "which table to regenerate: "+strings.Join(tables, "|"))
 	maxN := flag.Int("maxn", 24, "Table 1: maximum diamond count (paper: 30)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-cell timeout for enumeration engines (paper: 10m)")
 	sfs := flag.String("sf", "0.3,1,3", "SNB/Appendix B scale factors, comma separated")
 	hops := flag.String("hops", "2,3,4", "SNB KNOWS hop counts, comma separated")
 	reps := flag.Int("reps", 5, "Appendix B repetitions per query (median reported)")
 	seed := flag.Int64("seed", 7, "generator seed")
-	jsonPath := flag.String("json", "", "write microbenchmarks (ns/op, allocs/op) as JSON to this file, e.g. BENCH_csr.json")
-	suite := flag.String("suite", "kernel", "which -json suite to run: kernel | server | expand | storage | trace | fusion")
 	flag.Parse()
 
-	// Validate the suite name up front, whether or not -json was given:
-	// a typo must fail loudly before minutes of table work (or a
-	// truncated output file) hide it.
-	jsonWrite := bench.WriteMicroJSON
-	switch *suite {
-	case "kernel":
-	case "server":
-		jsonWrite = bench.WriteServerJSON
-	case "expand":
-		jsonWrite = bench.WriteExpandJSON
-	case "storage":
-		jsonWrite = bench.WriteStorageJSON
-	case "trace":
-		jsonWrite = bench.WriteTraceJSON
-	case "fusion":
-		jsonWrite = bench.WriteFusionJSON
-	default:
-		log.Fatalf("unknown -suite %q (kernel|server|expand|storage|trace|fusion)", *suite)
+	if err := checkTable(*table); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(2)
 	}
-
 	sfList, err := parseFloats(*sfs)
 	if err != nil {
 		log.Fatalf("bad -sf: %v", err)
@@ -116,31 +97,6 @@ func main() {
 			return bench.ShortcutAblation(w, nil, *timeout)
 		})
 	}
-	if *jsonPath != "" {
-		fmt.Printf("\n──────── %s microbenchmarks → %s ────────\n\n", *suite, *jsonPath)
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			log.Fatalf("microbench: %v", err)
-		}
-		if err := jsonWrite(bench.CurrentMeta(headCommit()), f, os.Stdout); err != nil {
-			f.Close()
-			log.Fatalf("microbench: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("microbench: %v", err)
-		}
-	}
-}
-
-// headCommit resolves the short HEAD hash for the meta stamp; empty
-// when git (or a checkout) is unavailable — the artifact is still
-// valid, just unpinned.
-func headCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func parseFloats(s string) ([]float64, error) {

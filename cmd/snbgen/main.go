@@ -8,8 +8,8 @@
 // -mutations N additionally writes mutations.jsonl: N records of the
 // deterministic SNB-shaped update stream (add_vertex / add_edge /
 // set_attr, one JSON object per line) consistent with the generated
-// graph — the write side of a sustained-load workload (cmd/gsqlbench
-// generates the same stream in-process from the same knobs).
+// graph — the write side of a sustained-load workload (see
+// benchmark/README.md).
 package main
 
 import (

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -85,101 +84,6 @@ func TestFmtDur(t *testing.T) {
 		if got := fmtDur(d); got != want {
 			t.Errorf("fmtDur(%v) = %q, want %q", d, got, want)
 		}
-	}
-}
-
-// TestCommittedReportsValidate holds every committed BENCH_*.json to
-// the shared schema: environment stamps, non-negative measurements,
-// monotone latency percentiles. A PR that commits a malformed artifact
-// fails here, not in the next PR's comparison job.
-func TestCommittedReportsValidate(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no committed BENCH_*.json artifacts found at the repo root")
-	}
-	for _, p := range paths {
-		rep, err := ReadReportFile(p)
-		if err != nil {
-			t.Errorf("%s: %v", filepath.Base(p), err)
-			continue
-		}
-		if err := rep.Validate(); err != nil {
-			t.Errorf("%s: %v", filepath.Base(p), err)
-		}
-	}
-}
-
-func testReport(ns, p99, opsPerS float64) Report {
-	return Report{
-		Meta: CurrentMeta(""),
-		Benchmarks: map[string]Micro{
-			"load/closed/read": {
-				NsPerOp: ns,
-				Extra:   map[string]float64{"p99_ns": p99, "ops_per_s": opsPerS},
-			},
-		},
-	}
-}
-
-func TestCompareReportsFlagsRegressions(t *testing.T) {
-	base := testReport(1000, 5000, 200)
-
-	// Within tolerance in both directions: clean.
-	if regs := CompareReports(base, testReport(1400, 6900, 150), 0.5); len(regs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", regs)
-	}
-	// Injected latency regression: mean and p99 both blow the bound.
-	regs := CompareReports(base, testReport(5000, 25000, 200), 0.5)
-	if len(regs) != 2 {
-		t.Fatalf("latency regression: got %v, want ns_per_op and p99_ns flagged", regs)
-	}
-	for _, r := range regs {
-		if r.Metric != "ns_per_op" && r.Metric != "p99_ns" {
-			t.Errorf("unexpected metric %q flagged", r.Metric)
-		}
-		if !strings.Contains(r.String(), "regressed") {
-			t.Errorf("unhelpful regression message %q", r.String())
-		}
-	}
-	// Throughput collapse regresses in the opposite direction.
-	if regs := CompareReports(base, testReport(1000, 5000, 50), 0.5); len(regs) != 1 || regs[0].Metric != "ops_per_s" {
-		t.Fatalf("throughput collapse: got %v", regs)
-	}
-	// A benchmark the current run lost entirely is a regression too.
-	cur := testReport(1000, 5000, 200)
-	delete(cur.Benchmarks, "load/closed/read")
-	cur.Benchmarks["other"] = Micro{NsPerOp: 1}
-	if regs := CompareReports(base, cur, 0.5); len(regs) != 1 || regs[0].Metric != "missing" {
-		t.Fatalf("missing benchmark: got %v", regs)
-	}
-	// Counters (ops, errors) are informational, never gated.
-	base.Benchmarks["load/closed/read"] = Micro{Extra: map[string]float64{"errors": 1, "ops": 100}}
-	cur = Report{Benchmarks: map[string]Micro{
-		"load/closed/read": {Extra: map[string]float64{"errors": 50, "ops": 5}},
-	}}
-	if regs := CompareReports(base, cur, 0.5); len(regs) != 0 {
-		t.Fatalf("counter metrics must not gate: %v", regs)
-	}
-}
-
-func TestReportValidateRejectsBrokenPercentiles(t *testing.T) {
-	rep := testReport(1000, 5000, 200)
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	m := rep.Benchmarks["load/closed/read"]
-	m.Extra["p50_ns"] = 9000 // above p99 — a histogram bug
-	rep.Benchmarks["load/closed/read"] = m
-	if err := rep.Validate(); err == nil {
-		t.Fatal("non-monotone percentiles must fail validation")
-	}
-	rep = testReport(1000, 5000, 200)
-	rep.Meta.GoVersion = ""
-	if err := rep.Validate(); err == nil {
-		t.Fatal("missing environment stamps must fail validation")
 	}
 }
 

@@ -44,8 +44,8 @@ func (c Config) persons() int {
 
 // Persons reports how many Person vertices Generate will create for
 // this config — keys are "person0" … "person{Persons()-1}". Exported so
-// workload generators (internal/load) can address the generated key
-// space without materializing a graph.
+// workload generators can address the generated key space without
+// materializing a graph (see benchmark/README.md).
 func (c Config) Persons() int { return c.persons() }
 
 // Derived population sizes, shared by Generate and the mutation-stream

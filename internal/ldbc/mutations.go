@@ -15,8 +15,9 @@ import (
 // that cannot collide with Generate's, and edges and attribute updates
 // only ever reference base-graph vertices — so any subset of records,
 // applied concurrently in any order, succeeds against a graph built by
-// Generate with the same Config. internal/load drives a running gsqld
-// with it; cmd/snbgen -mutations writes it to disk for replay tools.
+// Generate with the same Config. The benchmark harness drives a running
+// gsqld with it (see benchmark/README.md); cmd/snbgen -mutations writes
+// it to disk for replay tools.
 
 // Mutation op names, used both in the JSONL form snbgen emits and on
 // the wire when a load generator replays records over HTTP.

@@ -178,9 +178,8 @@ func TestReplicationEndToEnd(t *testing.T) {
 
 	// Mutations and checkpoints are refused with the typed read-only
 	// error; reads keep working. The rejection advertises the leader in
-	// both the Leader header and the body so a client (gsqlbench's load
-	// client does exactly this) can redirect the write with no
-	// out-of-band configuration.
+	// both the Leader header and the body so a client can redirect the
+	// write with no out-of-band configuration.
 	for _, route := range []string{"/graph/vertices", "/graph/vertices/attrs", "/graph/edges", "/admin/checkpoint"} {
 		w := do(rep.srv, "POST", route, `{"type":"Person","key":"x"}`)
 		if w.Code != http.StatusForbidden {

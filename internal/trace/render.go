@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -48,39 +47,4 @@ func renderSpan(w io.Writer, s *Span, prefix, childPrefix string) {
 // precision, the EXPLAIN ANALYZE convention.
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
-}
-
-// RenderJSON writes the same text tree for a decoded wire-form span —
-// what a client (gsqlbench's -trace-sample report) renders after
-// fetching a trace from a server's /debug/traces. Attributes print in
-// sorted key order, since the wire form's map has no attach order.
-func RenderJSON(w io.Writer, j *SpanJSON) {
-	if j == nil {
-		fmt.Fprintln(w, "(no trace)")
-		return
-	}
-	renderSpanJSON(w, j, "", "")
-}
-
-func renderSpanJSON(w io.Writer, j *SpanJSON, prefix, childPrefix string) {
-	var b strings.Builder
-	b.WriteString(prefix)
-	b.WriteString(j.Name)
-	fmt.Fprintf(&b, "  (actual time=%s)", fmtDur(time.Duration(j.DurationUS)*time.Microsecond))
-	keys := make([]string, 0, len(j.Attrs))
-	for k := range j.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  %s=%v", k, j.Attrs[k])
-	}
-	fmt.Fprintln(w, b.String())
-	for i, c := range j.Children {
-		if i == len(j.Children)-1 {
-			renderSpanJSON(w, c, childPrefix+"└─ ", childPrefix+"   ")
-		} else {
-			renderSpanJSON(w, c, childPrefix+"├─ ", childPrefix+"│  ")
-		}
-	}
 }
