@@ -23,6 +23,7 @@ package gsqlgo
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"gsqlgo/internal/core"
@@ -192,6 +193,34 @@ func BenchmarkQacc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Run("Qacc", args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPageRank times one run of the benchmark's PageRank
+// (benchmark/pagerank.gsql: Figure 4 over Person-Knows) with the
+// analytic workload's arguments on SF 0.3 and two workers: the WHILE
+// loop of ACCUM / POST-ACCUM iterations plus the top-20 output block.
+func BenchmarkPageRank(b *testing.B) {
+	src, err := os.ReadFile("benchmark/pagerank.gsql")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ldbc.Generate(ldbc.Config{SF: 0.3, Seed: 7})
+	e := core.New(g, core.Options{Workers: 2})
+	if err := e.Install(string(src)); err != nil {
+		b.Fatal(err)
+	}
+	args := map[string]value.Value{
+		"maxChange":     value.NewFloat(0.001),
+		"maxIteration":  value.NewInt(30),
+		"dampingFactor": value.NewFloat(0.85),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run("PageRank", args); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,5 +114,5 @@ CREATE QUERY Reach(string fromName) {
 	//     seed V as "s"
 	//     hop -(E>*)- V:t  [polynomial path counting (Theorem 6.1), no materialization; DFA 2 states; count cache on]
 	//     WHERE filter
-	//     ACCUM 1 statement(s)  [compiled kernel (1 fast / 0 boxed target(s), 0 resolved attr offset(s)), snapshot map/reduce, parallel, multiplicity shortcut on]
+	//     ACCUM 1 statement(s)  [compiled kernel (1 fast / 0 boxed target(s), 1/1 unboxed statement(s), 0 resolved attr offset(s)), snapshot map/reduce, parallel, multiplicity shortcut on]
 }

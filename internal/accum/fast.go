@@ -208,3 +208,78 @@ func MergeFast(a Accumulator, op FastOp, c *FastCell) error {
 	}
 	return mergeMismatch(a.Spec(), a)
 }
+
+// FloatOf reads a scalar accumulator's value as a machine float — the
+// unboxed twin of a.Value() for the compiler's typed reads. ok is true
+// for a Sum<float>, and for a Min/Max<float> whose extreme (or empty
+// identity) is a float; it is false for anything else, notably a
+// Min/Max<float> that holds an int, whose int kind the boxed path keeps.
+func FloatOf(a Accumulator) (float64, bool) {
+	switch a := a.(type) {
+	case *sumNum:
+		return a.f, a.spec.Elem == value.KindFloat
+	case *minMax:
+		if a.spec.Elem != value.KindFloat {
+			return 0, false
+		}
+		if !a.has {
+			e := a.emptyExtreme()
+			return e.TryFloat()
+		}
+		return a.val.TryFloat()
+	}
+	return 0, false
+}
+
+// IntOf is FloatOf for Sum<int> and Min/Max<int>.
+func IntOf(a Accumulator) (int64, bool) {
+	switch a := a.(type) {
+	case *sumNum:
+		return a.i, a.spec.Elem == value.KindInt
+	case *minMax:
+		if a.spec.Elem != value.KindInt {
+			return 0, false
+		}
+		if !a.has {
+			e := a.emptyExtreme()
+			return e.TryInt()
+		}
+		return a.val.TryInt()
+	}
+	return 0, false
+}
+
+// PutFloat applies '=' (assign) or '+=' of a machine float to a live
+// accumulator: a Sum<float> updates its running sum in place, any
+// other accumulator takes the boxed float through Assign / Input, so
+// the result and any error are exactly the boxed statement's.
+func PutFloat(a Accumulator, f float64, assign bool) error {
+	if s, ok := a.(*sumNum); ok && s.spec.Elem == value.KindFloat {
+		if assign {
+			s.f = f
+		} else {
+			s.f += f
+		}
+		return nil
+	}
+	if assign {
+		return a.Assign(value.NewFloat(f))
+	}
+	return a.Input(value.NewFloat(f), 1)
+}
+
+// PutInt is PutFloat for a machine int; a Sum<int> updates in place.
+func PutInt(a Accumulator, i int64, assign bool) error {
+	if s, ok := a.(*sumNum); ok && s.spec.Elem == value.KindInt {
+		if assign {
+			s.i = i
+		} else {
+			s.i += i
+		}
+		return nil
+	}
+	if assign {
+		return a.Assign(value.NewInt(i))
+	}
+	return a.Input(value.NewInt(i), 1)
+}

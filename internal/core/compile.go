@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"gsqlgo/internal/accum"
 	"gsqlgo/internal/graph"
@@ -80,24 +81,31 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 		selects: map[*gsql.SelectExpr]*compiledSelect{},
 		fusion:  map[gsql.Stmt]*fusionGroup{},
 	}
-	gdecls := map[string]*accum.Spec{}
-	vdecls := map[string]*accum.Spec{}
+	base := compiler{
+		e:      e,
+		gdecls: map[string]*accum.Spec{},
+		vdecls: map[string]*accum.Spec{},
+		params: map[string]value.Kind{},
+	}
 	for _, d := range q.Decls {
 		if d.Global {
-			gdecls[d.Name] = d.Spec
+			base.gdecls[d.Name] = d.Spec
 		} else {
-			vdecls[d.Name] = d.Spec
+			base.vdecls[d.Name] = d.Spec
 		}
+	}
+	for _, prm := range q.Params {
+		base.params[prm.Name] = prm.Type.Kind
 	}
 	var doStmts func(stmts []gsql.Stmt)
 	doStmts = func(stmts []gsql.Stmt) {
 		for _, s := range stmts {
 			switch n := s.(type) {
 			case *gsql.SelectStmt:
-				p.selects[n.Sel] = compileSelect(e, gdecls, vdecls, n.Sel)
+				p.selects[n.Sel] = base.compileSelect(n.Sel)
 			case *gsql.AssignStmt:
 				if sel, ok := n.Rhs.(*gsql.SelectExpr); ok {
-					p.selects[sel] = compileSelect(e, gdecls, vdecls, sel)
+					p.selects[sel] = base.compileSelect(sel)
 				}
 			case *gsql.WhileStmt:
 				doStmts(n.Body)
@@ -114,13 +122,16 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 	return p
 }
 
-func compileSelect(e *Engine, gdecls, vdecls map[string]*accum.Spec, sel *gsql.SelectExpr) *compiledSelect {
+// compileSelect compiles one block's clauses, each with a fresh
+// compiler derived from the query-level base.
+func (base compiler) compileSelect(sel *gsql.SelectExpr) *compiledSelect {
 	cs := &compiledSelect{
-		acc:  compileClause(e, gdecls, vdecls, sel.Accum, false),
-		post: compileClause(e, gdecls, vdecls, sel.PostAccum, true),
+		acc:  base.compileClause(sel.Accum, false),
+		post: base.compileClause(sel.PostAccum, true),
 	}
 	if sel.Where != nil {
-		c := &compiler{e: e, gdecls: gdecls, vdecls: vdecls, ok: true, p: newKprogram(false)}
+		c := base
+		c.ok, c.p = true, newKprogram(false)
 		if where := c.expr(sel.Where); where != nil && c.ok {
 			cs.where, cs.whereProg = where, c.p
 		}
@@ -137,6 +148,7 @@ type compiler struct {
 	e      *Engine
 	gdecls map[string]*accum.Spec
 	vdecls map[string]*accum.Spec
+	params map[string]value.Kind // declared parameter kinds
 	p      *kprogram
 	ok     bool
 }
@@ -144,8 +156,9 @@ type compiler struct {
 // compileClause lowers one ACCUM (post=false) or POST-ACCUM (post=true)
 // statement list; nil means the interpreter runs it. An empty clause
 // compiles to an empty program so pure-traversal blocks stay fusible.
-func compileClause(e *Engine, gdecls, vdecls map[string]*accum.Spec, stmts []gsql.AccStmt, post bool) *kprogram {
-	c := &compiler{e: e, gdecls: gdecls, vdecls: vdecls, ok: true, p: newKprogram(post)}
+func (base compiler) compileClause(stmts []gsql.AccStmt, post bool) *kprogram {
+	c := &base
+	c.ok, c.p = true, newKprogram(post)
 	// Clause-local assignment targets must be known before any
 	// expression compiles: identifier closures check the generation-
 	// stamped local slot (with fall-through) only for names the clause
@@ -163,7 +176,28 @@ func compileClause(e *Engine, gdecls, vdecls map[string]*accum.Spec, stmts []gsq
 	if !c.ok {
 		return nil
 	}
+	c.p.stmts, c.p.unboxed = countUnboxed(c.p.instrs)
 	return c.p
+}
+
+// countUnboxed counts the assignment statements of an instruction
+// list, IF branches included, and those carrying a typed RHS.
+func countUnboxed(instrs []kinstr) (total, unboxed int) {
+	for i := range instrs {
+		ins := &instrs[i]
+		if ins.cond != nil {
+			t, u := countUnboxed(ins.then)
+			total, unboxed = total+t, unboxed+u
+			t, u = countUnboxed(ins.els)
+			total, unboxed = total+t, unboxed+u
+			continue
+		}
+		total++
+		if ins.rhsI != nil || ins.rhsF != nil {
+			unboxed++
+		}
+	}
+	return total, unboxed
 }
 
 func collectAssignedLocals(st *gsql.AccStmt, p *kprogram) {
@@ -237,9 +271,7 @@ func (c *compiler) stmt(st *gsql.AccStmt) (kinstr, bool) {
 			ins.slot = c.p.gwriteSlot(lhs.Name, spec)
 			ins.spec = spec
 			ins.fast = accum.ClassifyFast(spec)
-			if !post && ins.fast != accum.FastNone {
-				c.attachUnboxed(&ins, st.Rhs)
-			}
+			c.attachUnboxed(&ins, st.Rhs)
 		} else {
 			ins.wErr = fmt.Errorf("undeclared global accumulator @@%s", lhs.Name)
 		}
@@ -253,20 +285,19 @@ func (c *compiler) stmt(st *gsql.AccStmt) (kinstr, bool) {
 		if recv == nil || rhs == nil {
 			return kinstr{}, false
 		}
-		ins := kinstr{op: kiVacc, name: lhs.Name, recv: recv, rhs: rhs, slot: -1, assign: post && st.Op == "="}
+		ins := kinstr{op: kiVacc, name: lhs.Name, recv: recv, recvSlot: c.vertexSlot(lhs.Vertex),
+			rhs: rhs, slot: -1, assign: post && st.Op == "="}
 		if spec, ok := c.vdecls[lhs.Name]; ok {
 			if post {
 				// POST-ACCUM writes go straight to the live store
 				// (each vertex is visited once).
-				ins.slot = c.p.vstoreSlot(lhs.Name)
+				ins.slot = c.p.vstoreSlot(lhs.Name, spec)
 			} else {
 				ins.slot = c.p.vwriteSlot(lhs.Name, spec)
 			}
 			ins.spec = spec
 			ins.fast = accum.ClassifyFast(spec)
-			if !post && ins.fast != accum.FastNone {
-				c.attachUnboxed(&ins, st.Rhs)
-			}
+			c.attachUnboxed(&ins, st.Rhs)
 		} else {
 			ins.wErr = fmt.Errorf("undeclared vertex accumulator @%s", lhs.Name)
 		}
@@ -430,8 +461,8 @@ func (c *compiler) vaccExpr(n *gsql.VertexAccRef) *cexpr {
 	}
 	name := n.Name
 	si := -1
-	if _, ok := c.vdecls[name]; ok {
-		si = c.p.vstoreSlot(name)
+	if spec, ok := c.vdecls[name]; ok {
+		si = c.p.vstoreSlot(name, spec)
 	}
 	prev := n.Prev
 	return dynExpr(func(k *kctx) (value.Value, error) {
@@ -448,7 +479,7 @@ func (c *compiler) vaccExpr(n *gsql.VertexAccRef) *cexpr {
 		store := k.b.vstores[si]
 		vid := graph.VID(vv.VertexID())
 		if prev && k.prevVacc != nil {
-			if pv, ok := k.prevVacc[prevKey(vid, name)]; ok {
+			if pv, ok := k.prevValue(si, name, vid); ok {
 				return pv, nil
 			}
 		}
@@ -823,10 +854,13 @@ func (n *numExpr) asFloatFn() func(*kctx) (float64, error) {
 
 // numeric compiles an expression down to an unboxed int64/float64
 // evaluator when its type is statically certain: int/float literals,
-// attribute reads whose column type is unambiguous in the schema, and
-// + - * / % over those. Anything else returns nil and stays on the
-// boxed closures. Zero divisors deliberately miss to the boxed path so
-// division/modulo errors keep the interpreter's exact text.
+// declared int/float parameters, attribute reads whose column type is
+// unambiguous in the schema, reads of Sum/Min/Max<int|float> vertex
+// accumulators (v.@x, and v.@x' in POST-ACCUM), v.outdegree() and
+// v.outdegree("T"), abs(), and + - * / % and unary minus over those.
+// Anything else returns nil and stays on the boxed closures. Zero
+// divisors deliberately miss to the boxed path so division/modulo
+// errors keep the interpreter's exact text.
 func (c *compiler) numeric(e gsql.Expr) *numExpr {
 	switch n := e.(type) {
 	case *gsql.Lit:
@@ -839,6 +873,15 @@ func (c *compiler) numeric(e gsql.Expr) *numExpr {
 			return &numExpr{isFloat: true, f: func(*kctx) (float64, error) { return fv, nil }}
 		}
 		return nil
+	case *gsql.Ident:
+		return c.numParam(n.Name)
+	case *gsql.VertexAccRef:
+		return c.numVacc(n)
+	case *gsql.Call:
+		if n.Recv != nil {
+			return c.numOutdegree(n)
+		}
+		return c.numAbs(n)
 	case *gsql.AttrRef:
 		return c.numAttr(n)
 	case *gsql.Binary:
@@ -870,9 +913,10 @@ func (c *compiler) numeric(e gsql.Expr) *numExpr {
 // numAttr compiles an attribute read whose column kind is the same in
 // every vertex/edge type that defines it. An unshadowed identifier
 // receiver (the common `s.score` / `e.w` shape) resolves straight off
-// the binding row and reads the column as a machine scalar — no Value
-// is constructed anywhere on the path; other receivers resolve through
-// their boxed closure and only the read goes offset-direct.
+// the binding row (or to the POST-ACCUM group's vertex) and reads the
+// column as a machine scalar — no Value is constructed anywhere on the
+// path; other receivers resolve through their boxed closure and only
+// the read goes offset-direct.
 func (c *compiler) numAttr(n *gsql.AttrRef) *numExpr {
 	obj := c.expr(n.Obj)
 	if obj == nil {
@@ -915,16 +959,13 @@ func (c *compiler) numAttr(n *gsql.AttrRef) *numExpr {
 			if at == graph.AttrFloat {
 				return &numExpr{isFloat: true, f: func(k *kctx) (float64, error) {
 					g := k.rs.g // attr reads hit the run's pinned snapshot
-					bn := &k.b.names[ni]
-					switch bn.kind {
-					case bnVert:
-						vid := k.row.verts[bn.col]
+					if vid, ok := k.vertexOf(ni); ok {
 						if tid := g.VertexTypeID(vid); tid < len(offsV) && offsV[tid] >= 0 {
 							if fv, ok := g.VertexAttrFloatAt(vid, offsV[tid]); ok {
 								return fv, nil
 							}
 						}
-					case bnEdge:
+					} else if bn := &k.b.names[ni]; bn.kind == bnEdge {
 						eid := k.row.edges[bn.col]
 						if tid := g.EdgeTypeID(eid); tid < len(offsE) && offsE[tid] >= 0 {
 							if fv, ok := g.EdgeAttrFloatAt(eid, offsE[tid]); ok {
@@ -937,16 +978,13 @@ func (c *compiler) numAttr(n *gsql.AttrRef) *numExpr {
 			}
 			return &numExpr{i: func(k *kctx) (int64, error) {
 				g := k.rs.g
-				bn := &k.b.names[ni]
-				switch bn.kind {
-				case bnVert:
-					vid := k.row.verts[bn.col]
+				if vid, ok := k.vertexOf(ni); ok {
 					if tid := g.VertexTypeID(vid); tid < len(offsV) && offsV[tid] >= 0 {
 						if iv, ok := g.VertexAttrIntAt(vid, offsV[tid]); ok {
 							return iv, nil
 						}
 					}
-				case bnEdge:
+				} else if bn := &k.b.names[ni]; bn.kind == bnEdge {
 					eid := k.row.edges[bn.col]
 					if tid := g.EdgeTypeID(eid); tid < len(offsE) && offsE[tid] >= 0 {
 						if iv, ok := g.EdgeAttrIntAt(eid, offsE[tid]); ok {
@@ -999,6 +1037,173 @@ func (c *compiler) numAttr(n *gsql.AttrRef) *numExpr {
 			return 0, errUnboxedMiss
 		}
 		return v.Int(), nil
+	}}
+}
+
+// vertexSlot returns the name slot of an unshadowed identifier — a
+// receiver kctx.vertexOf can resolve without boxing — or -1.
+func (c *compiler) vertexSlot(e gsql.Expr) int {
+	id, ok := e.(*gsql.Ident)
+	if !ok {
+		return -1
+	}
+	if _, shadowed := c.p.localIdx[id.Name]; shadowed {
+		return -1
+	}
+	return c.p.nameSlot(id.Name)
+}
+
+// numParam compiles a declared int/float parameter. The slot reads
+// whatever the execution bound to the name (a run local or alias of
+// the same name shadows the parameter), so the kind is checked per
+// read.
+func (c *compiler) numParam(name string) *numExpr {
+	kind, ok := c.params[name]
+	if !ok || (kind != value.KindInt && kind != value.KindFloat) {
+		return nil
+	}
+	if _, shadowed := c.p.localIdx[name]; shadowed {
+		return nil
+	}
+	ni := c.p.nameSlot(name)
+	if kind == value.KindFloat {
+		return &numExpr{isFloat: true, f: func(k *kctx) (float64, error) {
+			if bn := &k.b.names[ni]; bn.kind == bnValue {
+				if fv, ok := bn.val.TryFloat(); ok {
+					return fv, nil
+				}
+			}
+			return 0, errUnboxedMiss
+		}}
+	}
+	return &numExpr{i: func(k *kctx) (int64, error) {
+		if bn := &k.b.names[ni]; bn.kind == bnValue {
+			if iv, ok := bn.val.TryInt(); ok {
+				return iv, nil
+			}
+		}
+		return 0, errUnboxedMiss
+	}}
+}
+
+// numVacc compiles a read of a Sum/Min/Max<int|float> vertex
+// accumulator through an identifier receiver. It reads the live store
+// read-only, as peekValue does (an untouched vertex reads the store's
+// initial value). A Min/Max<float> holding an int misses. In
+// POST-ACCUM, v.@x' of a Sum store reads the clause's unboxed @acc'
+// record first; a prime on any other store stays boxed.
+func (c *compiler) numVacc(n *gsql.VertexAccRef) *numExpr {
+	spec, ok := c.vdecls[n.Name]
+	if !ok {
+		return nil
+	}
+	ni := c.vertexSlot(n.Vertex)
+	if ni < 0 {
+		return nil
+	}
+	si := c.p.vstoreSlot(n.Name, spec)
+	prev := n.Prev && c.p.post
+	if prev && !c.p.typedPrev(si) {
+		return nil
+	}
+	switch c.p.vstoreFast[si] {
+	case accum.FastSumFloat, accum.FastMinFloat, accum.FastMaxFloat:
+		return &numExpr{isFloat: true, f: func(k *kctx) (float64, error) {
+			vid, ok := k.vertexOf(ni)
+			if !ok {
+				return 0, errUnboxedMiss
+			}
+			if prev {
+				if r := &k.b.prev[si]; r.stamp[vid] == k.b.prevGen {
+					return r.f[vid], nil
+				}
+			}
+			if fv, ok := k.b.vstores[si].peekFloat(vid); ok {
+				return fv, nil
+			}
+			return 0, errUnboxedMiss
+		}}
+	case accum.FastSumInt, accum.FastMinInt, accum.FastMaxInt:
+		return &numExpr{i: func(k *kctx) (int64, error) {
+			vid, ok := k.vertexOf(ni)
+			if !ok {
+				return 0, errUnboxedMiss
+			}
+			if prev {
+				if r := &k.b.prev[si]; r.stamp[vid] == k.b.prevGen {
+					return r.i[vid], nil
+				}
+			}
+			if iv, ok := k.b.vstores[si].peekInt(vid); ok {
+				return iv, nil
+			}
+			return 0, errUnboxedMiss
+		}}
+	}
+	return nil
+}
+
+// numOutdegree compiles v.outdegree() and v.outdegree("T") with a
+// literal edge type, whose id resolves here, at install; a type the
+// schema does not have yet stays boxed. Degrees read the run's pinned
+// snapshot.
+func (c *compiler) numOutdegree(n *gsql.Call) *numExpr {
+	if lower(n.Name) != "outdegree" || len(n.Args) > 1 {
+		return nil
+	}
+	ni := c.vertexSlot(n.Recv)
+	if ni < 0 {
+		return nil
+	}
+	if len(n.Args) == 0 {
+		return &numExpr{i: func(k *kctx) (int64, error) {
+			if vid, ok := k.vertexOf(ni); ok {
+				return int64(k.rs.g.OutDegree(vid)), nil
+			}
+			return 0, errUnboxedMiss
+		}}
+	}
+	lit, ok := n.Args[0].(*gsql.Lit)
+	if !ok || lit.Val.Kind() != value.KindString {
+		return nil
+	}
+	et := c.e.Graph().Schema.EdgeType(lit.Val.Str())
+	if et == nil {
+		return nil
+	}
+	id := et.ID
+	return &numExpr{i: func(k *kctx) (int64, error) {
+		if vid, ok := k.vertexOf(ni); ok {
+			return int64(k.rs.g.OutDegreeOfType(vid, id)), nil
+		}
+		return 0, errUnboxedMiss
+	}}
+}
+
+// numAbs compiles abs() over an int or float expression, with
+// value.Abs's results (the int minimum stays negative).
+func (c *compiler) numAbs(n *gsql.Call) *numExpr {
+	if lower(n.Name) != "abs" || len(n.Args) != 1 {
+		return nil
+	}
+	x := c.numeric(n.Args[0])
+	if x == nil {
+		return nil
+	}
+	if x.isFloat {
+		f := x.f
+		return &numExpr{isFloat: true, f: func(k *kctx) (float64, error) {
+			v, err := f(k)
+			return math.Abs(v), err
+		}}
+	}
+	i := x.i
+	return &numExpr{i: func(k *kctx) (int64, error) {
+		v, err := i(k)
+		if v < 0 {
+			v = -v
+		}
+		return v, err
 	}}
 }
 
@@ -1115,8 +1320,13 @@ func (c *compiler) numBinary(n *gsql.Binary) *numExpr {
 // expressions only; float-sum/avg targets take either shape promoted
 // to float; float-extreme targets take float expressions only (an int
 // input must keep its int kind through the boxed path, exactly as the
-// boxed accumulator preserves it).
+// boxed accumulator preserves it). ACCUM statements fold the result
+// into a delta cell, POST-ACCUM global ones too, and POST-ACCUM vertex
+// ones put it into the live accumulator (accum.PutInt / PutFloat).
 func (c *compiler) attachUnboxed(ins *kinstr, rhs gsql.Expr) {
+	if ins.fast == accum.FastNone {
+		return
+	}
 	ne := c.numeric(rhs)
 	if ne == nil {
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gsqlgo/internal/algo"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/gsql"
 	"gsqlgo/internal/ldbc"
@@ -259,16 +261,133 @@ var compileDiffCorpus = []struct {
 	  Y = SELECT t FROM N:s -(E>)- N:t WHERE X.size() > 2 AND s.flag ACCUM @@a += 1;
 	  PRINT @@a;
 	}`, true},
+	// PageRank-shaped bodies: the typed rung's reads and writes.
+	{"pagerank_typed", `CREATE QUERY Q(float maxChange, int maxIteration, float dampingFactor) {
+	  MaxAccum<float> @@maxDifference = 9999;
+	  SumAccum<float> @received_score;
+	  SumAccum<float> @score = 1;
+	  AllV = {N.*};
+	  WHILE @@maxDifference > maxChange LIMIT maxIteration DO
+	    @@maxDifference = 0;
+	    S = SELECT v FROM AllV:v -(E>)- N:n
+	        ACCUM n.@received_score += v.@score/v.outdegree("E")
+	        POST-ACCUM v.@score = 1-dampingFactor + dampingFactor * v.@received_score,
+	                   v.@received_score = 0,
+	                   @@maxDifference += abs(v.@score - v.@score');
+	  END;
+	  PRINT @@maxDifference;
+	  PRINT AllV[AllV.name, AllV.@score];
+	}`, true},
+	{"pagerank_outdegree", `CREATE QUERY Q(float maxChange, int maxIteration, float dampingFactor) {
+	  MaxAccum<float> @@maxDifference = 9999;
+	  SumAccum<float> @received_score;
+	  SumAccum<float> @score = 1;
+	  AllV = {N.*};
+	  WHILE @@maxDifference > maxChange LIMIT maxIteration DO
+	    @@maxDifference = 0;
+	    S = SELECT v FROM AllV:v -(E>)- N:n
+	        ACCUM n.@received_score += v.@score/v.outdegree()
+	        POST-ACCUM v.@score = 1-dampingFactor + dampingFactor * v.@received_score,
+	                   v.@received_score = 0,
+	                   @@maxDifference += abs(v.@score - v.@score');
+	  END;
+	  PRINT @@maxDifference;
+	  PRINT AllV[AllV.name, AllV.@score];
+	}`, true},
+	// Sum<int> reads in both clauses; v.@c' before the group's first
+	// write to @c (the live value) and after it (the record).
+	{"pagerank_sum_int_prev", `CREATE QUERY Q(int a) {
+	  SumAccum<int> @c = 1;
+	  SumAccum<int> @@seen;
+	  SumAccum<int> @@delta;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM t.@c += s.@c * 2 - a, @@seen += s.@c + t.@c
+	      POST-ACCUM @@delta += t.@c' - t.@c,
+	                 t.@c = t.@c - a,
+	                 @@delta += (t.@c' - t.@c) * 10,
+	                 t.@c += t.@c';
+	  PRINT @@seen, @@delta;
+	  PRINT R[R.name, R.@c];
+	}`, true},
+	// A zero out-degree divides a float by zero: +Inf (NaN for 0/0),
+	// not an error, on both rungs.
+	{"pagerank_zero_outdegree", `CREATE QUERY Q() {
+	  MaxAccum<float> @@mx;
+	  SumAccum<float> @inv;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM @@mx += s.weight / t.outdegree(), t.@inv += 1.0 / t.outdegree("E")
+	      POST-ACCUM t.@inv = t.@inv * 2;
+	  PRINT @@mx;
+	  PRINT R[R.name, R.@inv];
+	}`, true},
+	// int/int by a zero out-degree misses to the boxed path, which owns
+	// the error text.
+	{"err_pagerank_int_div_zero", `CREATE QUERY Q() {
+	  SumAccum<float> @@x;
+	  R = SELECT t FROM N:s -(E>)- N:t ACCUM @@x += s.score / t.outdegree();
+	  PRINT @@x;
+	}`, true},
+	// A MaxAccum<float> fed ints holds an int: typed reads of it miss
+	// and the boxed path keeps the int kind.
+	{"pagerank_max_float_holding_int", `CREATE QUERY Q() {
+	  MaxAccum<float> @m;
+	  SumAccum<float> @@s;
+	  MaxAccum<float> @@g;
+	  A = SELECT t FROM N:s -(E>)- N:t ACCUM t.@m += s.score;
+	  B = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM @@s += t.@m * 1.5, @@g += t.@m
+	      POST-ACCUM t.@m = t.@m + 0.5, @@g += t.@m;
+	  PRINT @@s, @@g;
+	  PRINT B[B.name, B.@m];
+	}`, true},
+	// fi is declared float and bound to an int argument; typed '=' and
+	// '+=' land in live Sum and Avg accumulators.
+	{"pagerank_int_arg_float_param", `CREATE QUERY Q(float fi, int a) {
+	  SumAccum<float> @@s;
+	  SumAccum<float> @v;
+	  AvgAccum<float> @av;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM @@s += fi * s.score - a, t.@v += fi
+	      POST-ACCUM t.@v = t.@v / fi + a, t.@v += fi * 0.5,
+	                 t.@av = t.@v, t.@av += a;
+	  PRINT @@s;
+	  PRINT R[R.name, R.@v, R.@av];
+	}`, true},
+	{"pagerank_abs", `CREATE QUERY Q() {
+	  SumAccum<int> @@ai;
+	  SumAccum<float> @@af;
+	  MinAccum<int> @lo;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM @@ai += abs(s.score - 10), @@af += abs(t.weight - 20.0), t.@lo += abs(s.score - 30)
+	      POST-ACCUM t.@lo = abs(t.@lo - 50), @@af += abs(-t.weight);
+	  PRINT @@ai, @@af;
+	  PRINT R[R.name, R.@lo];
+	}`, true},
+}
+
+// typedCorpus names the corpus entries whose every ACCUM / POST-ACCUM
+// statement must run on the typed rung without a single boxed re-run.
+var typedCorpus = map[string]bool{
+	"pagerank_typed":               true,
+	"pagerank_outdegree":           true,
+	"pagerank_sum_int_prev":        true,
+	"pagerank_zero_outdegree":      true,
+	"pagerank_int_arg_float_param": true,
+	"pagerank_abs":                 true,
 }
 
 // compileDiffArgs supplies each corpus query's declared parameters by
 // name.
 var compileDiffArgs = map[string]value.Value{
-	"lo": value.NewInt(0),
-	"hi": value.NewFloat(10),
-	"nm": value.NewString("n1"),
-	"a":  value.NewInt(1),
-	"b":  value.NewInt(2),
+	"lo":            value.NewInt(0),
+	"hi":            value.NewFloat(10),
+	"nm":            value.NewString("n1"),
+	"a":             value.NewInt(1),
+	"b":             value.NewInt(2),
+	"fi":            value.NewInt(3),
+	"maxChange":     value.NewFloat(0.001),
+	"maxIteration":  value.NewInt(6),
+	"dampingFactor": value.NewFloat(0.85),
 }
 
 // compileDiffTable is the relational table every corpus engine
@@ -370,8 +489,12 @@ func TestCompiledKernelsBitIdenticalToInterpreter(t *testing.T) {
 					t.Fatalf("seed %d %s workers %d: results diverged\ncompiled:\n%s\ninterpreted:\n%s",
 						seed, tc.name, w, cs, is)
 				}
-				if iRes.Stats.AccumCompiledStmts != 0 {
-					t.Fatalf("%s: disabled engine reported compiled statements", tc.name)
+				if iRes.Stats.AccumCompiledStmts != 0 || iRes.Stats.AccumUnboxedMisses != 0 {
+					t.Fatalf("%s: disabled engine reported compiled statements or unboxed misses", tc.name)
+				}
+				if typedCorpus[tc.name] && cRes.Stats.AccumUnboxedMisses != 0 {
+					t.Fatalf("seed %d %s workers %d: %d unboxed misses, want 0",
+						seed, tc.name, w, cRes.Stats.AccumUnboxedMisses)
 				}
 				if tc.wantCompiled && cRes.Stats.AccumCompiledStmts == 0 {
 					t.Fatalf("%s: expected the kernel path, got all-interpreted (stats %+v)",
@@ -607,6 +730,73 @@ func TestWhereSpanMarksCompiledPath(t *testing.T) {
 			if got, _ := wheres[i].Attr("compiled"); got != want {
 				t.Errorf("disable=%v: where %d compiled=%v, want %v", disable, i, got, want)
 			}
+		}
+	}
+}
+
+// TestUnboxedMissesCounted checks the degraded-path counter: typed
+// reads of a MaxAccum<float> that holds ints miss, re-run boxed (with
+// results still bit-identical) and are counted at every worker count.
+func TestUnboxedMissesCounted(t *testing.T) {
+	var src string
+	for _, tc := range compileDiffCorpus {
+		if tc.name == "pagerank_max_float_holding_int" {
+			src = tc.src
+		}
+	}
+	g := buildCompileDiffGraph(12, 40, 3)
+	for _, w := range []int{1, 2, 8} {
+		cRes, iRes, cErr, iErr := runCompileDiff(t, g, src, w)
+		if cErr != nil || iErr != nil {
+			t.Fatalf("workers %d: compiled=%v interpreted=%v", w, cErr, iErr)
+		}
+		if cs, is := compileDiffSig(cRes), compileDiffSig(iRes); cs != is {
+			t.Fatalf("workers %d: results diverged\ncompiled:\n%s\ninterpreted:\n%s", w, cs, is)
+		}
+		if cRes.Stats.AccumUnboxedMisses == 0 {
+			t.Fatalf("workers %d: no unboxed misses counted", w)
+		}
+	}
+}
+
+// TestPageRankTypedRungMatchesInterpreter runs the shipped PageRank
+// shapes — the benchmark's on SF 0.3 LDBC and the algo package's on a
+// link graph — compiled and interpreted: the outputs must be
+// byte-identical and the typed rung must never fall back.
+func TestPageRankTypedRungMatchesInterpreter(t *testing.T) {
+	bench, err := os.ReadFile("../../benchmark/pagerank.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]value.Value{
+		"maxChange":     value.NewFloat(0.001),
+		"maxIteration":  value.NewInt(30),
+		"dampingFactor": value.NewFloat(0.85),
+	}
+	for _, tc := range []struct {
+		name, src string
+		g         *graph.Graph
+	}{
+		{"benchmark", string(bench), ldbc.Generate(ldbc.Config{SF: 0.3, Seed: 7})},
+		{"algo", algo.PageRankSource("Page", "LinkTo"), graph.BuildLinkGraph(300, 6, 7)},
+	} {
+		var sigs [2]string
+		for i, disable := range []bool{false, true} {
+			e := New(tc.g, Options{Workers: 2, DisableAccumCompile: disable})
+			if err := e.Install(tc.src); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run("PageRank", args)
+			if err != nil {
+				t.Fatalf("%s (disable=%v): %v", tc.name, disable, err)
+			}
+			if res.Stats.AccumUnboxedMisses != 0 {
+				t.Errorf("%s (disable=%v): %d unboxed misses", tc.name, disable, res.Stats.AccumUnboxedMisses)
+			}
+			sigs[i] = compileDiffSig(res)
+		}
+		if sigs[0] != sigs[1] {
+			t.Errorf("%s: compiled and interpreted PageRank differ\ncompiled:\n%s\ninterpreted:\n%s", tc.name, sigs[0], sigs[1])
 		}
 	}
 }

@@ -296,6 +296,11 @@ type RunStats struct {
 	// inside a loop counts each iteration).
 	AccumCompiledStmts    int64
 	AccumInterpretedStmts int64
+	// AccumUnboxedMisses counts compiled statement executions whose
+	// typed (unboxed) evaluation met a value it did not predict — a
+	// wrong kind, an int/int zero divisor, a receiver that is not a
+	// vertex — and re-ran boxed.
+	AccumUnboxedMisses int64
 	// FusionBlocksFused counts SELECT blocks that ran as part of a
 	// fused group (one shared traversal) instead of standalone.
 	FusionBlocksFused int64

@@ -167,8 +167,8 @@ func (e *Engine) explainSelect(sb *strings.Builder, sel *gsql.SelectExpr, plan *
 	if len(sel.Accum) > 0 {
 		mode := "interpreted"
 		if cs != nil && cs.acc != nil {
-			mode = fmt.Sprintf("compiled kernel (%d fast / %d boxed target(s), %d resolved attr offset(s))",
-				fastTargets(cs.acc), boxedTargets(cs.acc), cs.acc.attrOffsets)
+			mode = fmt.Sprintf("compiled kernel (%d fast / %d boxed target(s), %d/%d unboxed statement(s), %d resolved attr offset(s))",
+				fastTargets(cs.acc), boxedTargets(cs.acc), cs.acc.unboxed, cs.acc.stmts, cs.acc.attrOffsets)
 		}
 		fmt.Fprintf(sb, "%sACCUM %d statement(s)  [%s, snapshot map/reduce, parallel, multiplicity shortcut %s]\n",
 			indent, len(sel.Accum), mode, onOff(!e.opts.NoMultiplicityShortcut))
@@ -176,7 +176,8 @@ func (e *Engine) explainSelect(sb *strings.Builder, sel *gsql.SelectExpr, plan *
 	if len(sel.PostAccum) > 0 {
 		mode := "interpreted"
 		if cs != nil && cs.post != nil {
-			mode = fmt.Sprintf("compiled (%d resolved attr offset(s))", cs.post.attrOffsets)
+			mode = fmt.Sprintf("compiled (%d/%d unboxed statement(s), %d resolved attr offset(s))",
+				cs.post.unboxed, cs.post.stmts, cs.post.attrOffsets)
 		}
 		fmt.Fprintf(sb, "%sPOST-ACCUM %d statement(s)  [%s, once per distinct vertex]\n", indent, len(sel.PostAccum), mode)
 	}

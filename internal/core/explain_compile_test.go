@@ -1,10 +1,12 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 
 	"gsqlgo/internal/graph"
+	"gsqlgo/internal/ldbc"
 )
 
 // TestExplainCompiledRendering pins the EXPLAIN lines for compiled
@@ -30,9 +32,10 @@ CREATE QUERY QC(string nm) {
 	}
 	for _, want := range []string{
 		// @@hits is a fast (unboxed int) target, @last a boxed string
-		// one; s.name is the single pre-resolved attribute offset.
-		"ACCUM 2 statement(s)  [compiled kernel (1 fast / 1 boxed target(s), 1 resolved attr offset(s)), snapshot map/reduce, parallel, multiplicity shortcut on]",
-		"POST-ACCUM 1 statement(s)  [compiled (1 resolved attr offset(s)), once per distinct vertex]",
+		// one, so one of the two statements runs unboxed; s.name is
+		// the single pre-resolved attribute offset.
+		"ACCUM 2 statement(s)  [compiled kernel (1 fast / 1 boxed target(s), 1/2 unboxed statement(s), 1 resolved attr offset(s)), snapshot map/reduce, parallel, multiplicity shortcut on]",
+		"POST-ACCUM 1 statement(s)  [compiled (0/1 unboxed statement(s), 1 resolved attr offset(s)), once per distinct vertex]",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
@@ -105,5 +108,39 @@ CREATE QUERY QIf() {
 	}
 	if !strings.Contains(plan, "ACCUM 1 statement(s)  [interpreted, snapshot map/reduce") {
 		t.Errorf("fallback block not rendered interpreted:\n%s", plan)
+	}
+}
+
+// TestExplainPageRankAllUnboxed pins every PageRank statement on the
+// typed rung: Figure 4's shape and the benchmark's (undirected Knows,
+// outdegree with a literal edge type).
+func TestExplainPageRankAllUnboxed(t *testing.T) {
+	bench, err := os.ReadFile("../../benchmark/pagerank.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, src string
+		g         *graph.Graph
+	}{
+		{"figure4", figure4Src, graph.BuildLinkGraph(20, 3, 1)},
+		{"benchmark", string(bench), ldbc.Generate(ldbc.Config{SF: 0.1, Seed: 7})},
+	} {
+		e := New(tc.g, Options{})
+		if err := e.Install(tc.src); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := e.Explain("PageRank")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			"ACCUM 1 statement(s)  [compiled kernel (1 fast / 0 boxed target(s), 1/1 unboxed statement(s), 0 resolved attr offset(s))",
+			"POST-ACCUM 3 statement(s)  [compiled (3/3 unboxed statement(s), 0 resolved attr offset(s)), once per distinct vertex]",
+		} {
+			if !strings.Contains(plan, want) {
+				t.Errorf("%s: plan missing %q:\n%s", tc.name, want, plan)
+			}
+		}
 	}
 }

@@ -21,7 +21,7 @@ type env struct {
 	locals map[string]value.Value
 	// prevVacc serves v.@acc' reads inside POST-ACCUM: the value at
 	// clause start for accumulators this clause has overwritten.
-	prevVacc map[string]value.Value
+	prevVacc map[prevKey]value.Value
 	// aggValues substitutes computed SQL-style aggregates for their
 	// Call nodes during grouped SELECT evaluation.
 	aggValues map[*gsql.Call]value.Value
@@ -33,8 +33,10 @@ type env struct {
 
 func (rs *runState) baseEnv() *env { return &env{} }
 
-func prevKey(v graph.VID, name string) string {
-	return fmt.Sprintf("%d|%s", v, name)
+// prevKey names one vertex's accumulator in a POST-ACCUM @acc' record.
+type prevKey struct {
+	vid  graph.VID
+	name string
 }
 
 // eval evaluates an expression.
@@ -154,7 +156,7 @@ func (rs *runState) evalVertexAcc(n *gsql.VertexAccRef, en *env) (value.Value, e
 	}
 	vid := graph.VID(vv.VertexID())
 	if n.Prev && en.prevVacc != nil {
-		if pv, ok := en.prevVacc[prevKey(vid, n.Name)]; ok {
+		if pv, ok := en.prevVacc[prevKey{vid, n.Name}]; ok {
 			return pv, nil
 		}
 	}

@@ -56,7 +56,10 @@ type kinstr struct {
 	fast   accum.FastOp
 	assign bool // POST kiVacc: '=' (Assign) vs anything else (Input)
 	recv   *cexpr
-	rhs    *cexpr
+	// recvSlot is kiVacc's receiver as a name slot when it is an
+	// unshadowed identifier (read unboxed through vertexOf), else -1.
+	recvSlot int
+	rhs      *cexpr
 	// At most one of rhsI/rhsF is set: a type-specialized RHS
 	// evaluator for a fast target whose expression type is statically
 	// certain. On errUnboxedMiss the statement re-runs rhs, whose boxed
@@ -92,6 +95,7 @@ type kprogram struct {
 
 	vstoreNames []string // vertex accumulator stores (reads + POST writes)
 	vstoreIdx   map[string]int
+	vstoreFast  []accum.FastOp // per store: its declared spec's fold shape
 
 	gwrites   []writeTarget // global write slots (staged deltas)
 	gwriteIdx map[string]int
@@ -100,6 +104,9 @@ type kprogram struct {
 	vwriteIdx map[string]int
 
 	attrOffsets int // attribute refs resolved to column offsets (explain)
+	// stmts counts the clause's assignment statements (IF branches
+	// included) and unboxed those with a typed RHS evaluator (explain).
+	stmts, unboxed int
 
 	// freeBinds holds the binds finished executions returned, for the
 	// next execution to reuse; it never holds more than the program's
@@ -149,13 +156,22 @@ func (p *kprogram) gsnapSlot(name string) int {
 	return len(p.gsnaps) - 1
 }
 
-func (p *kprogram) vstoreSlot(name string) int {
+func (p *kprogram) vstoreSlot(name string, spec *accum.Spec) int {
 	if i, ok := p.vstoreIdx[name]; ok {
 		return i
 	}
 	p.vstoreIdx[name] = len(p.vstoreNames)
 	p.vstoreNames = append(p.vstoreNames, name)
+	p.vstoreFast = append(p.vstoreFast, accum.ClassifyFast(spec))
 	return len(p.vstoreNames) - 1
+}
+
+// typedPrev reports whether a POST-ACCUM program records the @acc'
+// value of store slot si unboxed (Sum<int|float>, whose value always
+// has the element kind) rather than in kctx.prevVacc.
+func (p *kprogram) typedPrev(si int) bool {
+	op := p.vstoreFast[si]
+	return p.post && (op == accum.FastSumInt || op == accum.FastSumFloat)
 }
 
 func (p *kprogram) gwriteSlot(name string, spec *accum.Spec) int {
@@ -206,6 +222,52 @@ type kbind struct {
 	// k is the WHERE filter's execution context, recycled with the
 	// bind so a filter pass allocates nothing.
 	k kctx
+	// prev holds a POST-ACCUM program's unboxed @acc' records, one per
+	// store slot (empty for slots !typedPrev); a record is live where
+	// its stamp equals prevGen, which advances once per group
+	// execution. Both persist with the recycled bind, so a warm clause
+	// execution allocates no record.
+	prev    []prevRec
+	prevGen uint32
+}
+
+// prevRec is one store's @acc' record: the clause-start value of each
+// vertex the current group execution has written.
+type prevRec struct {
+	stamp []uint32
+	i     []int64   // Sum<int> stores
+	f     []float64 // Sum<float> stores
+}
+
+// preparePrev sizes the bind's @acc' records for an n-vertex snapshot.
+func (b *kbind) preparePrev(p *kprogram, n int) {
+	if b.prev == nil {
+		b.prev = make([]prevRec, len(p.vstoreNames))
+	}
+	for si := range b.prev {
+		r := &b.prev[si]
+		if !p.typedPrev(si) || len(r.stamp) >= n {
+			continue
+		}
+		c := n + n/4 // headroom: the graph grows between runs
+		r.stamp = make([]uint32, c)
+		if p.vstoreFast[si] == accum.FastSumInt {
+			r.i = make([]int64, c)
+		} else {
+			r.f = make([]float64, c)
+		}
+	}
+}
+
+// nextPrevGen starts a group execution: every record goes stale.
+func (b *kbind) nextPrevGen() {
+	b.prevGen++
+	if b.prevGen == 0 { // wrapped: stale stamps could collide, reset
+		for i := range b.prev {
+			clear(b.prev[i].stamp)
+		}
+		b.prevGen = 1
+	}
 }
 
 func (p *kprogram) getBind() *kbind {
@@ -325,10 +387,16 @@ type kctx struct {
 	localGen []uint32
 	gen      uint32
 
-	// POST-ACCUM state: the group's current vertex and the @acc'
-	// clause-start values recorded before first write.
+	// POST-ACCUM state: the group's current vertex (boxed and as an
+	// id) and the @acc' clause-start values recorded before first write
+	// for stores without an unboxed record (kbind.prev).
 	cur      value.Value
-	prevVacc map[string]value.Value
+	curVID   graph.VID
+	prevVacc map[prevKey]value.Value
+
+	// misses counts statements whose unboxed evaluation missed and
+	// re-ran boxed (RunStats.AccumUnboxedMisses).
+	misses int64
 }
 
 func (k *kctx) nextGen() {
@@ -337,6 +405,42 @@ func (k *kctx) nextGen() {
 		clear(k.localGen)
 		k.gen = 1
 	}
+}
+
+// vertexOf resolves name slot ni to a vertex id without boxing: a
+// vertex alias's binding column, the POST-ACCUM group's vertex, or a
+// bound vertex value. ok is false for anything else, whose boxed read
+// yields the value or error the caller must then produce.
+func (k *kctx) vertexOf(ni int) (graph.VID, bool) {
+	switch bn := &k.b.names[ni]; bn.kind {
+	case bnVert:
+		return k.row.verts[bn.col], true
+	case bnCurVert:
+		return k.curVID, true
+	case bnValue:
+		if bn.val.Kind() == value.KindVertex {
+			return graph.VID(bn.val.VertexID()), true
+		}
+	}
+	return 0, false
+}
+
+// recvVertex evaluates a kiVacc receiver: unboxed when the slot
+// resolves, else through the boxed receiver with its error text.
+func (k *kctx) recvVertex(ins *kinstr) (graph.VID, error) {
+	if ins.recvSlot >= 0 {
+		if vid, ok := k.vertexOf(ins.recvSlot); ok {
+			return vid, nil
+		}
+	}
+	vv, err := ins.recv.fn(k)
+	if err != nil {
+		return 0, err
+	}
+	if vv.Kind() != value.KindVertex {
+		return 0, fmt.Errorf("@%s receiver is %s, not a vertex", ins.name, vv.Kind())
+	}
+	return graph.VID(vv.VertexID()), nil
 }
 
 func (k *kctx) resolveName(ni int) (value.Value, error) {
@@ -448,6 +552,39 @@ func (s *vslab) cell(vid graph.VID, op accum.FastOp) *accum.FastCell {
 
 // ---- instruction execution ----------------------------------------------------
 
+// evalTyped runs a statement's unboxed RHS: ok reports its result in
+// iv (rhsI) or fv (rhsF). With ok false and no error the statement
+// runs boxed — it has no typed RHS, or the typed one missed, which is
+// counted.
+func (k *kctx) evalTyped(ins *kinstr) (iv int64, fv float64, ok bool, err error) {
+	switch {
+	case ins.rhsI != nil:
+		iv, err = ins.rhsI(k)
+	case ins.rhsF != nil:
+		fv, err = ins.rhsF(k)
+	default:
+		return 0, 0, false, nil
+	}
+	if err == nil {
+		return iv, fv, true, nil
+	}
+	if err == errUnboxedMiss {
+		k.misses++
+		err = nil
+	}
+	return 0, 0, false, err
+}
+
+// foldTyped folds a typed result into a fast cell. Unboxed success
+// implies non-null input and a declared, type-compatible fast target.
+func foldTyped(ins *kinstr, c *accum.FastCell, iv int64, fv float64, mult uint64) {
+	if ins.rhsI != nil {
+		accum.FoldFastInt(ins.fast, c, iv, mult)
+	} else {
+		accum.FoldFastFloat(ins.fast, c, fv, mult)
+	}
+}
+
 // runAccInstrs executes a compiled ACCUM statement list for the
 // current row: null inputs skip, undeclared targets error after the
 // null skip, input errors wrap with the target name — the
@@ -480,27 +617,13 @@ func (k *kctx) runAccInstrs(instrs []kinstr) error {
 			k.locals[ins.local] = v
 			k.localGen[ins.local] = k.gen
 		case kiGlobal:
-			// Unboxed success implies non-null input and a declared,
-			// type-compatible fast target: fold the machine scalar
-			// straight into the cell. A miss re-runs the boxed rhs.
-			if ins.rhsI != nil {
-				iv, err := ins.rhsI(k)
-				if err == nil {
-					accum.FoldFastInt(ins.fast, &k.d.fastG[ins.slot], iv, k.mult)
-					continue
-				}
-				if err != errUnboxedMiss {
-					return err
-				}
-			} else if ins.rhsF != nil {
-				fv, err := ins.rhsF(k)
-				if err == nil {
-					accum.FoldFastFloat(ins.fast, &k.d.fastG[ins.slot], fv, k.mult)
-					continue
-				}
-				if err != errUnboxedMiss {
-					return err
-				}
+			iv, fv, ok, err := k.evalTyped(ins)
+			if err != nil {
+				return err
+			}
+			if ok {
+				foldTyped(ins, &k.d.fastG[ins.slot], iv, fv, k.mult)
+				continue
 			}
 			v, err := ins.rhs.fn(k)
 			if err != nil {
@@ -530,39 +653,17 @@ func (k *kctx) runAccInstrs(instrs []kinstr) error {
 				}
 			}
 		case kiVacc:
-			vv, err := ins.recv.fn(k)
+			vid, err := k.recvVertex(ins)
 			if err != nil {
 				return err
 			}
-			if vv.Kind() != value.KindVertex {
-				return fmt.Errorf("@%s receiver is %s, not a vertex", ins.name, vv.Kind())
+			iv, fv, ok, err := k.evalTyped(ins)
+			if err != nil {
+				return err
 			}
-			if ins.rhsI != nil || ins.rhsF != nil {
-				var iv int64
-				var fv float64
-				var err error
-				if ins.rhsI != nil {
-					iv, err = ins.rhsI(k)
-				} else {
-					fv, err = ins.rhsF(k)
-				}
-				if err == nil {
-					vid := graph.VID(vv.VertexID())
-					s := k.d.fastV[ins.slot]
-					if s == nil {
-						s = getVslab(k.rs.g.NumVertices())
-						k.d.fastV[ins.slot] = s
-					}
-					if ins.rhsI != nil {
-						accum.FoldFastInt(ins.fast, s.cell(vid, ins.fast), iv, k.mult)
-					} else {
-						accum.FoldFastFloat(ins.fast, s.cell(vid, ins.fast), fv, k.mult)
-					}
-					continue
-				}
-				if err != errUnboxedMiss {
-					return err
-				}
+			if ok {
+				foldTyped(ins, k.vcell(ins, vid), iv, fv, k.mult)
+				continue
 			}
 			v, err := ins.rhs.fn(k)
 			if err != nil {
@@ -574,14 +675,8 @@ func (k *kctx) runAccInstrs(instrs []kinstr) error {
 			if ins.wErr != nil {
 				return ins.wErr
 			}
-			vid := graph.VID(vv.VertexID())
 			if ins.fast != accum.FastNone {
-				s := k.d.fastV[ins.slot]
-				if s == nil {
-					s = getVslab(k.rs.g.NumVertices())
-					k.d.fastV[ins.slot] = s
-				}
-				if err := accum.FoldFast(ins.fast, s.cell(vid, ins.fast), ins.spec, v, k.mult); err != nil {
+				if err := accum.FoldFast(ins.fast, k.vcell(ins, vid), ins.spec, v, k.mult); err != nil {
 					return fmt.Errorf("@%s += : %w", ins.name, err)
 				}
 			} else {
@@ -604,6 +699,17 @@ func (k *kctx) runAccInstrs(instrs []kinstr) error {
 		}
 	}
 	return nil
+}
+
+// vcell returns the worker's delta cell for a fast vertex target,
+// taking the target's slab from the pool on first use.
+func (k *kctx) vcell(ins *kinstr, vid graph.VID) *accum.FastCell {
+	s := k.d.fastV[ins.slot]
+	if s == nil {
+		s = getVslab(k.rs.g.NumVertices())
+		k.d.fastV[ins.slot] = s
+	}
+	return s.cell(vid, ins.fast)
 }
 
 // runPostInstrs executes compiled POST-ACCUM statements for the
@@ -639,6 +745,14 @@ func (k *kctx) runPostInstrs(instrs []kinstr) error {
 			k.locals[ins.local] = v
 			k.localGen[ins.local] = k.gen
 		case kiGlobal:
+			iv, fv, ok, err := k.evalTyped(ins)
+			if err != nil {
+				return err
+			}
+			if ok {
+				foldTyped(ins, &k.d.fastG[ins.slot], iv, fv, 1)
+				continue
+			}
 			v, err := ins.rhs.fn(k)
 			if err != nil {
 				return err
@@ -664,48 +778,94 @@ func (k *kctx) runPostInstrs(instrs []kinstr) error {
 				}
 			}
 		case kiVacc:
-			vv, err := ins.recv.fn(k)
+			vid, err := k.recvVertex(ins)
 			if err != nil {
 				return err
-			}
-			if vv.Kind() != value.KindVertex {
-				return fmt.Errorf("@%s receiver is %s, not a vertex", ins.name, vv.Kind())
 			}
 			if ins.wErr != nil {
 				return ins.wErr
 			}
 			store := k.b.vstores[ins.slot]
-			vid := graph.VID(vv.VertexID())
-			// Record the clause-start value for @acc' before the
-			// first write.
-			pk := prevKey(vid, ins.name)
-			if _, recorded := k.prevVacc[pk]; !recorded {
-				pv, err := store.peekValue(vid)
-				if err != nil {
-					return err
-				}
-				k.prevVacc[pk] = pv
+			if err := k.recordPrev(ins, store, vid); err != nil {
+				return err
 			}
-			v, err := ins.rhs.fn(k)
+			iv, fv, ok, err := k.evalTyped(ins)
 			if err != nil {
 				return err
+			}
+			var v value.Value
+			if !ok {
+				if v, err = ins.rhs.fn(k); err != nil {
+					return err
+				}
 			}
 			a, err := store.get(vid)
 			if err != nil {
 				return err
 			}
-			if ins.assign {
-				if err := a.Assign(v); err != nil {
+			switch {
+			case ok && ins.rhsI != nil:
+				err = accum.PutInt(a, iv, ins.assign)
+			case ok:
+				err = accum.PutFloat(a, fv, ins.assign)
+			case ins.assign:
+				err = a.Assign(v)
+			default:
+				err = a.Input(v, 1)
+			}
+			if err != nil {
+				if ins.assign {
 					return fmt.Errorf("@%s = : %w", ins.name, err)
 				}
-			} else {
-				if err := a.Input(v, 1); err != nil {
-					return fmt.Errorf("@%s += : %w", ins.name, err)
-				}
+				return fmt.Errorf("@%s += : %w", ins.name, err)
 			}
 		}
 	}
 	return nil
+}
+
+// recordPrev records vid's clause-start value of the written store for
+// @acc' before the group execution's first write to it: unboxed where
+// the bind keeps a typed record, else in prevVacc.
+func (k *kctx) recordPrev(ins *kinstr, store *vaccStore, vid graph.VID) error {
+	if r := &k.b.prev[ins.slot]; r.stamp != nil {
+		if r.stamp[vid] != k.b.prevGen {
+			r.stamp[vid] = k.b.prevGen
+			// A Sum store's value always has its element kind, so the
+			// typed peek cannot miss.
+			if r.f != nil {
+				r.f[vid], _ = store.peekFloat(vid)
+			} else {
+				r.i[vid], _ = store.peekInt(vid)
+			}
+		}
+		return nil
+	}
+	pk := prevKey{vid, ins.name}
+	if _, recorded := k.prevVacc[pk]; !recorded {
+		pv, err := store.peekValue(vid)
+		if err != nil {
+			return err
+		}
+		k.prevVacc[pk] = pv
+	}
+	return nil
+}
+
+// prevValue is the boxed read of vid's @acc' record in POST-ACCUM
+// store slot si, ok false when the group execution has not written it.
+func (k *kctx) prevValue(si int, name string, vid graph.VID) (value.Value, bool) {
+	if r := &k.b.prev[si]; r.stamp != nil {
+		if r.stamp[vid] != k.b.prevGen {
+			return value.Null, false
+		}
+		if r.f != nil {
+			return value.NewFloat(r.f[vid]), true
+		}
+		return value.NewInt(r.i[vid]), true
+	}
+	pv, ok := k.prevVacc[prevKey{vid, name}]
+	return pv, ok
 }
 
 // ---- clause executors ---------------------------------------------------------
@@ -829,12 +989,17 @@ func (rs *runState) execAccumKernels(progs []*kprogram, bt *bindingTable, sp *tr
 	sp.SetInt("workers", int64(workers))
 
 	type wstate struct {
+		k      kctx
 		ds     []*kdeltas
 		errs   []error // first error per block, in this worker
 		cancel error
 	}
 	newW := func() *wstate {
-		w := &wstate{ds: make([]*kdeltas, nb), errs: make([]error, nb)}
+		w := &wstate{
+			k:    kctx{rs: rs, locals: make([]value.Value, maxLocals), localGen: make([]uint32, maxLocals)},
+			ds:   make([]*kdeltas, nb),
+			errs: make([]error, nb),
+		}
 		for i, p := range progs {
 			w.ds[i] = newKdeltas(p)
 		}
@@ -850,7 +1015,7 @@ func (rs *runState) execAccumKernels(progs []*kprogram, bt *bindingTable, sp *tr
 	}()
 
 	runShard := func(st *wstate, rows []bindingRow) {
-		k := &kctx{rs: rs, locals: make([]value.Value, maxLocals), localGen: make([]uint32, maxLocals)}
+		k := &st.k
 		alive := nb
 		execRow := func(row *bindingRow, mult uint64) {
 			k.row = row
@@ -941,6 +1106,9 @@ func (rs *runState) execAccumKernels(progs []*kprogram, bt *bindingTable, sp *tr
 		}
 		wg.Wait()
 	}
+	for _, st := range ws {
+		rs.res.Stats.AccumUnboxedMisses += st.k.misses
+	}
 
 	// Error selection: lowest block first (consecutive sequential
 	// passes fail at the first failing pass), then lowest worker index
@@ -990,15 +1158,18 @@ func (rs *runState) execPostAccumCompiled(p *kprogram, stmts []gsql.AccStmt, bt 
 	b := p.getBind()
 	defer p.putBind(b)
 	p.bindShared(rs, b)
+	b.preparePrev(p, rs.g.NumVertices())
 	d := newKdeltas(p)
 	k := &kctx{
 		rs: rs, b: b, d: d, mult: 1,
 		locals:   make([]value.Value, len(p.localNames)),
 		localGen: make([]uint32, len(p.localNames)),
-		prevVacc: map[string]value.Value{},
+		prevVacc: map[prevKey]value.Value{},
 	}
+	defer func() { rs.res.Stats.AccumUnboxedMisses += k.misses }()
 	runGroup := func(idxs []int) error {
 		k.nextGen()
+		b.nextPrevGen()
 		clear(k.prevVacc)
 		for _, ix := range idxs {
 			if err := k.runPostInstrs(p.instrs[ix : ix+1]); err != nil {
@@ -1018,7 +1189,7 @@ func (rs *runState) execPostAccumCompiled(p *kprogram, stmts []gsql.AccStmt, bt 
 			continue
 		}
 		col := bt.vertIdx[alias]
-		seen := map[graph.VID]bool{}
+		seen := make([]bool, rs.g.NumVertices())
 		for ri := range bt.rows {
 			if ri&1023 == 0 {
 				if err := rs.checkCancel(); err != nil {
@@ -1030,7 +1201,7 @@ func (rs *runState) execPostAccumCompiled(p *kprogram, stmts []gsql.AccStmt, bt 
 				continue
 			}
 			seen[v] = true
-			k.cur = value.NewVertex(int64(v))
+			k.cur, k.curVID = value.NewVertex(int64(v)), v
 			if err := runGroup(idxs); err != nil {
 				return err
 			}

@@ -542,7 +542,7 @@ func (rs *runState) postAccumAlias(st *gsql.AccStmt, bt *bindingTable) (string, 
 }
 
 func (rs *runState) postAccumForVertex(stmts []*gsql.AccStmt, alias string, v graph.VID, hasVertex bool, d *deltas) error {
-	en := &env{vars: map[string]value.Value{}, locals: map[string]value.Value{}, prevVacc: map[string]value.Value{}}
+	en := &env{vars: map[string]value.Value{}, locals: map[string]value.Value{}, prevVacc: map[prevKey]value.Value{}}
 	if hasVertex {
 		en.vars[alias] = value.NewVertex(int64(v))
 	}
@@ -609,7 +609,7 @@ func (rs *runState) postAccumStmtSeq(stmts []*gsql.AccStmt, en *env, d *deltas) 
 			}
 			// Record the clause-start value for @acc' before the
 			// first write.
-			pk := prevKey(vid, lhs.Name)
+			pk := prevKey{vid, lhs.Name}
 			if _, recorded := en.prevVacc[pk]; !recorded {
 				pv, err := store.peekValue(vid)
 				if err != nil {

@@ -116,6 +116,23 @@ func (s *vaccStore) peekValue(v graph.VID) (value.Value, error) {
 	return s.initVal, nil
 }
 
+// peekFloat / peekInt are peekValue for the compiled kernels' typed
+// reads: the value as a machine scalar, ok false when it is not of
+// that kind (the caller then takes the boxed path).
+func (s *vaccStore) peekFloat(v graph.VID) (float64, bool) {
+	if a := s.slots[v]; a != nil {
+		return accum.FloatOf(a)
+	}
+	return s.initVal.TryFloat()
+}
+
+func (s *vaccStore) peekInt(v graph.VID) (int64, bool) {
+	if a := s.slots[v]; a != nil {
+		return accum.IntOf(a)
+	}
+	return s.initVal.TryInt()
+}
+
 func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, args map[string]value.Value) (*runState, error) {
 	rs := &runState{
 		e:         e,

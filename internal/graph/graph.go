@@ -439,9 +439,15 @@ func (g *Graph) OutDegreeByType(v VID, edgeType string) int {
 	if et == nil {
 		return 0
 	}
+	return g.OutDegreeOfType(v, et.ID)
+}
+
+// OutDegreeOfType is OutDegreeByType for an edge-type id already
+// resolved against the schema.
+func (g *Graph) OutDegreeOfType(v VID, typeID int) int {
 	n := 0
 	for _, h := range g.Neighbors(v) {
-		if int(h.Type) == et.ID && (h.Dir == DirOut || h.Dir == DirUndir) {
+		if int(h.Type) == typeID && (h.Dir == DirOut || h.Dir == DirUndir) {
 			n++
 		}
 	}

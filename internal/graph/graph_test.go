@@ -145,6 +145,9 @@ func TestVertexAndEdgeCRUD(t *testing.T) {
 	if d := g.OutDegreeByType(alice, "LivesIn"); d != 1 {
 		t.Errorf("OutDegreeByType(alice, LivesIn) = %d, want 1", d)
 	}
+	if d := g.OutDegreeOfType(alice, g.Schema.EdgeType("Knows").ID); d != 1 {
+		t.Errorf("OutDegreeOfType(alice, Knows) = %d, want 1", d)
+	}
 	if d := g.OutDegree(nyc); d != 0 {
 		t.Errorf("OutDegree(nyc) = %d, want 0 (only incoming)", d)
 	}

@@ -204,6 +204,7 @@ type Server struct {
 
 	mAccumCompiled    *metrics.Counter // gsqld_accum_compiled_stmts_total
 	mAccumInterpreted *metrics.Counter // gsqld_accum_interpreted_stmts_total
+	mAccumMisses      *metrics.Counter // gsqld_accum_unboxed_misses_total
 	mFusedBlocks      *metrics.Counter // gsqld_fusion_blocks_fused_total
 
 	mWALRecords  *metrics.Counter // gsqld_storage_wal_records_total
@@ -268,6 +269,8 @@ func New(cfg Config) *Server {
 		"ACCUM/POST-ACCUM statements executed on the compiled kernel path.")
 	s.mAccumInterpreted = s.reg.Counter("gsqld_accum_interpreted_stmts_total",
 		"ACCUM/POST-ACCUM statements executed by the tree-walking interpreter.")
+	s.mAccumMisses = s.reg.Counter("gsqld_accum_unboxed_misses_total",
+		"Compiled statement executions whose unboxed evaluation missed and re-ran boxed.")
 	s.mFusedBlocks = s.reg.Counter("gsqld_fusion_blocks_fused_total",
 		"SELECT blocks executed inside a fused group sharing one traversal.")
 	s.mWALRecords = s.reg.Counter("gsqld_storage_wal_records_total",
@@ -463,6 +466,7 @@ type runStatsJSON struct {
 	ExpandShards          int64 `json:"expand_shards"`
 	AccumCompiledStmts    int64 `json:"accum_compiled_stmts"`
 	AccumInterpretedStmts int64 `json:"accum_interpreted_stmts"`
+	AccumUnboxedMisses    int64 `json:"accum_unboxed_misses"`
 	FusionBlocksFused     int64 `json:"fusion_blocks_fused"`
 }
 
@@ -747,6 +751,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mShards.Add(uint64(res.Stats.ExpandShards))
 	s.mAccumCompiled.Add(uint64(res.Stats.AccumCompiledStmts))
 	s.mAccumInterpreted.Add(uint64(res.Stats.AccumInterpretedStmts))
+	s.mAccumMisses.Add(uint64(res.Stats.AccumUnboxedMisses))
 	s.mFusedBlocks.Add(uint64(res.Stats.FusionBlocksFused))
 
 	resp := runResponse{
@@ -762,6 +767,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			ExpandShards:          res.Stats.ExpandShards,
 			AccumCompiledStmts:    res.Stats.AccumCompiledStmts,
 			AccumInterpretedStmts: res.Stats.AccumInterpretedStmts,
+			AccumUnboxedMisses:    res.Stats.AccumUnboxedMisses,
 			FusionBlocksFused:     res.Stats.FusionBlocksFused,
 		},
 	}

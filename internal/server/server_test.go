@@ -408,10 +408,12 @@ func TestServerExpandMetrics(t *testing.T) {
 	}
 }
 
-// TestServerAccumCompileMetrics: the compiled-kernel and fusion
-// counters surface in both the per-run stats JSON and /metrics — a
-// fusable query reports compiled statements plus fused blocks, while a
-// clause the compiler declines reports interpreted statements.
+// TestServerAccumCompileMetrics: the compiled-kernel, fusion and
+// unboxed-miss counters surface in both the per-run stats JSON and
+// /metrics — a fusable query reports compiled statements plus fused
+// blocks, a clause the compiler declines reports interpreted
+// statements, and typed reads of a MaxAccum<float> holding ints report
+// their boxed re-runs.
 func TestServerAccumCompileMetrics(t *testing.T) {
 	s := salesServer(t, Config{})
 	const fusedSrc = `CREATE QUERY Fused () FOR GRAPH SalesGraph {
@@ -425,7 +427,13 @@ func TestServerAccumCompileMetrics(t *testing.T) {
   X = SELECT s FROM Customer:s;
   Y = SELECT t FROM Customer:s -(Likes>)- Product:t ACCUM @@a += X.size();
 }`
-	for _, src := range []string{fusedSrc, interpSrc} {
+	const missSrc = `CREATE QUERY Miss () FOR GRAPH SalesGraph {
+  MaxAccum<float> @m;
+  MaxAccum<float> @@g;
+  X = SELECT t FROM Customer:s -(Likes>)- Product:t ACCUM t.@m += 1;
+  Y = SELECT t FROM Customer:s -(Likes>)- Product:t ACCUM @@g += t.@m;
+}`
+	for _, src := range []string{fusedSrc, interpSrc, missSrc} {
 		if w := do(s, "POST", "/queries", src); w.Code != http.StatusCreated {
 			t.Fatalf("install: %d %s", w.Code, w.Body)
 		}
@@ -447,10 +455,20 @@ func TestServerAccumCompileMetrics(t *testing.T) {
 	if interp.Stats.AccumInterpretedStmts != 1 || interp.Stats.FusionBlocksFused != 0 {
 		t.Fatalf("interp run stats = %+v, want 1 interpreted stmt, 0 fused", interp.Stats)
 	}
+	w = do(s, "POST", "/queries/Miss/run", "{}")
+	if w.Code != http.StatusOK {
+		t.Fatalf("miss run: %d %s", w.Code, w.Body)
+	}
+	miss := decode[runResponse](t, w)
+	if miss.Stats.AccumUnboxedMisses == 0 || fused.Stats.AccumUnboxedMisses != 0 || interp.Stats.AccumUnboxedMisses != 0 {
+		t.Fatalf("unboxed misses: fused %d, interp %d, miss %d; want 0, 0, > 0",
+			fused.Stats.AccumUnboxedMisses, interp.Stats.AccumUnboxedMisses, miss.Stats.AccumUnboxedMisses)
+	}
 
 	body := do(s, "GET", "/metrics", "").Body.String()
 	for _, want := range []string{
-		fmt.Sprintf("gsqld_accum_compiled_stmts_total %d", fused.Stats.AccumCompiledStmts+interp.Stats.AccumCompiledStmts),
+		fmt.Sprintf("gsqld_accum_compiled_stmts_total %d", fused.Stats.AccumCompiledStmts+interp.Stats.AccumCompiledStmts+miss.Stats.AccumCompiledStmts),
+		fmt.Sprintf("gsqld_accum_unboxed_misses_total %d", miss.Stats.AccumUnboxedMisses),
 		fmt.Sprintf("gsqld_accum_interpreted_stmts_total %d", interp.Stats.AccumInterpretedStmts),
 		fmt.Sprintf("gsqld_fusion_blocks_fused_total %d", fused.Stats.FusionBlocksFused),
 	} {
