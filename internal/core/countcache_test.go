@@ -63,7 +63,7 @@ func TestCountCacheEpochInvalidation(t *testing.T) {
 	if _, err := e.Run("Reach", nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.counts.len() == 0 {
+	if e.counts.Load().len() == 0 {
 		t.Fatal("cold run left the cache empty")
 	}
 	// Topology mutation: connect two vertices with a fresh D1 edge so

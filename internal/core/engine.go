@@ -86,8 +86,9 @@ type Engine struct {
 	plans map[string]*queryPlan
 
 	// counts caches single-source SDMC results across runs (nil when
-	// disabled); it carries its own lock and epoch guard.
-	counts *countCache
+	// disabled); it carries its own lock and epoch guard. SetGraph
+	// swaps it while runs read it, hence the atomic pointer.
+	counts atomic.Pointer[countCache]
 }
 
 // New returns an engine over the graph.
@@ -97,9 +98,9 @@ func New(g *graph.Graph, opts Options) *Engine {
 		queries:  make(map[string]*gsql.Query),
 		dfaCache: make(map[string]*darpe.DFA),
 		plans:    make(map[string]*queryPlan),
-		counts:   newCountCache(g, opts.CountCacheSize),
 	}
 	e.g.Store(g)
+	e.counts.Store(newCountCache(g, opts.CountCacheSize))
 	return e
 }
 
@@ -120,7 +121,7 @@ func (e *Engine) SetGraph(g *graph.Graph) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.g.Store(g)
-	e.counts = newCountCache(g, e.opts.CountCacheSize)
+	e.counts.Store(newCountCache(g, e.opts.CountCacheSize))
 }
 
 // Install parses GSQL source and registers its queries (the CREATE

@@ -150,7 +150,7 @@ func (e *Engine) explainSelect(sb *strings.Builder, sel *gsql.SelectExpr, plan *
 				states = fmt.Sprintf("%d", d.NumStates())
 			}
 			cache := "count cache off"
-			if e.counts != nil {
+			if e.counts.Load() != nil {
 				cache = "count cache on"
 			}
 			fmt.Fprintf(sb, "%shop -(%s)- %s:%s  [%s; DFA %s states; %s]\n",

@@ -577,10 +577,11 @@ func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, bo
 	// a reader pinned on an old snapshot neither sees newer counts nor
 	// pollutes the cache with stale ones.
 	epoch := g.Epoch()
+	cache := rs.e.counts.Load()
 	counts := make([]*match.Counts, len(sources))
 	var missing []int
 	for i, src := range sources {
-		if c := rs.e.counts.get(countKey{d: d, sem: rs.semantics, src: src}, epoch); c != nil {
+		if c := cache.get(countKey{d: d, sem: rs.semantics, src: src}, epoch); c != nil {
 			counts[i] = c
 		} else {
 			missing = append(missing, i)
@@ -598,7 +599,7 @@ func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, bo
 		}
 		rs.res.Stats.SDMCRuns += int64(len(missing))
 		for _, i := range missing {
-			rs.e.counts.put(countKey{d: d, sem: rs.semantics, src: sources[i]}, counts[i], epoch)
+			cache.put(countKey{d: d, sem: rs.semantics, src: sources[i]}, counts[i], epoch)
 		}
 	}
 

@@ -44,6 +44,25 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// FloatCounter is a monotonically increasing float64, for counters kept
+// in fractional units (CPU seconds). Add is lock-free: it CASes the
+// float's bits.
+type FloatCounter struct{ bits atomic.Uint64 }
+
+// Add adds x, which must not be negative for the counter to stay
+// monotone.
+func (c *FloatCounter) Add(x float64) {
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+x)) {
+			return
+		}
+	}
+}
+
+// Value reads the current count.
+func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+
 // Gauge is a settable int64.
 type Gauge struct{ v atomic.Int64 }
 
@@ -68,7 +87,7 @@ type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; last is +Inf
 	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	sum     FloatCounter
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -80,20 +99,14 @@ func (h *Histogram) Observe(x float64) {
 	i := sort.SearchFloat64s(h.bounds, x)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + x)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
+	h.sum.Add(x)
 }
 
 // Count reads the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum reads the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
 // Bounds returns the histogram's bucket bounds. Shared, do not mutate.
 func (h *Histogram) Bounds() []float64 { return h.bounds }
@@ -167,9 +180,10 @@ func QuantileFromBuckets(bounds []float64, buckets []uint64, q float64) float64 
 // metric is anything a family's series map can hold.
 type metric interface{ isMetric() }
 
-func (*Counter) isMetric()   {}
-func (*Gauge) isMetric()     {}
-func (*Histogram) isMetric() {}
+func (*Counter) isMetric()      {}
+func (*FloatCounter) isMetric() {}
+func (*Gauge) isMetric()        {}
+func (*Histogram) isMetric()    {}
 
 // family is one exposition family: a name, a type, label names, and a
 // series per observed label-value combination (exactly one unlabeled
@@ -248,6 +262,12 @@ func (r *Registry) family(name, help, typ string, bounds []float64, labels []str
 func (r *Registry) Counter(name, help string) *Counter {
 	f := r.family(name, help, "counter", nil, nil)
 	return f.get(nil, func() metric { return &Counter{} }).(*Counter)
+}
+
+// FloatCounter registers (or fetches) an unlabeled float counter.
+func (r *Registry) FloatCounter(name, help string) *FloatCounter {
+	f := r.family(name, help, "counter", nil, nil)
+	return f.get(nil, func() metric { return &FloatCounter{} }).(*FloatCounter)
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
@@ -364,6 +384,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, f.labelString(key), m.Value()); err != nil {
 					return err
 				}
+			case *FloatCounter:
+				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelString(key), formatFloat(m.Value())); err != nil {
+					return err
+				}
 			case *Gauge:
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, f.labelString(key), m.Value()); err != nil {
 					return err
@@ -464,6 +488,8 @@ func (r *Registry) Gather() []Point {
 			switch m := ms[i].(type) {
 			case *Counter:
 				p.Value = float64(m.Value())
+			case *FloatCounter:
+				p.Value = m.Value()
 			case *Gauge:
 				p.Value = float64(m.Value())
 			case *Histogram:
@@ -507,6 +533,8 @@ func (r *Registry) Snapshot() map[string]any {
 			}
 			switch m := ms[i].(type) {
 			case *Counter:
+				out[name] = m.Value()
+			case *FloatCounter:
 				out[name] = m.Value()
 			case *Gauge:
 				out[name] = m.Value()

@@ -26,6 +26,19 @@ func TestCounterGauge(t *testing.T) {
 	if r.Counter("reqs_total", "requests").Value() != 5 {
 		t.Fatal("re-registration did not return the existing counter")
 	}
+	fc := r.FloatCounter("cpu_seconds_total", "cpu")
+	fc.Add(0.25)
+	fc.Add(1.5)
+	if got := fc.Value(); got != 1.75 {
+		t.Fatalf("float counter = %v, want 1.75", got)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "# TYPE cpu_seconds_total counter\ncpu_seconds_total 1.75\n") {
+		t.Fatalf("float counter exposition:\n%s", sb.String())
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	runtimemetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,9 +20,9 @@ import (
 
 // Observability plumbing for the serving layer: per-request ids, the
 // bounded ring of recent traces behind GET /debug/traces, the
-// slow-query log, and build metadata. The engine-side span tree comes
-// from internal/trace; this file decides when a request carries one
-// and what happens to it afterwards.
+// slow-query log, build metadata and the Go runtime's GC series. The
+// engine-side span tree comes from internal/trace; this file decides
+// when a request carries one and what happens to it afterwards.
 
 // ---- request ids ----------------------------------------------------------
 
@@ -235,4 +236,30 @@ func (s *Server) registerBuildInfo() {
 		"Build metadata; constant 1 with the identity in labels.",
 		"go_version", "commit", "version").
 		With(runtime.Version(), commit, version).Set(1)
+}
+
+// syncRuntimeMetrics folds the Go runtime's GC counters into the
+// registry: the runtime owns them, so each counter advances by the
+// difference from what it already holds. The live-heap gauge is the
+// runtime's own figure, updated at the end of every GC cycle.
+func (s *Server) syncRuntimeMetrics() {
+	samples := []runtimemetrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/live:bytes"},
+	}
+	s.runtimeMu.Lock()
+	defer s.runtimeMu.Unlock()
+	runtimemetrics.Read(samples)
+	if n, have := samples[0].Value.Uint64(), s.mGCCycles.Value(); n > have {
+		s.mGCCycles.Add(n - have)
+	}
+	if x, have := samples[1].Value.Float64(), s.mGCCPU.Value(); x > have {
+		s.mGCCPU.Add(x - have)
+	}
+	if n, have := samples[2].Value.Uint64(), s.mHeapAlloc.Value(); n > have {
+		s.mHeapAlloc.Add(n - have)
+	}
+	s.mHeapLive.Set(int64(samples[3].Value.Uint64()))
 }

@@ -5,7 +5,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -263,6 +265,64 @@ func TestBuildInfoMetric(t *testing.T) {
 	h := decode[map[string]string](t, w)
 	if h["status"] != "ok" || h["version"] == "" || h["commit"] == "" {
 		t.Errorf("healthz = %v", h)
+	}
+}
+
+// TestRuntimeMetrics: /metrics exports the Go runtime's GC series, and
+// across two scrapes with a forced GC between them the three counters
+// never go backwards and the cycle count advances.
+func TestRuntimeMetrics(t *testing.T) {
+	s := salesServer(t, Config{})
+	names := []string{
+		"gsqld_runtime_gc_cycles_total",
+		"gsqld_runtime_gc_cpu_seconds_total",
+		"gsqld_runtime_heap_alloc_bytes_total",
+		"gsqld_runtime_heap_live_bytes",
+	}
+	scrape := func() []float64 {
+		out := make([]float64, len(names))
+		for i, name := range names {
+			v, ok := metricValue(s, name)
+			if !ok {
+				t.Fatalf("/metrics has no %s", name)
+			}
+			out[i] = v
+		}
+		return out
+	}
+	first := scrape()
+	runtime.GC()
+	second := scrape()
+	for i, name := range names[:3] {
+		if second[i] < first[i] {
+			t.Errorf("%s went backwards: %v then %v", name, first[i], second[i])
+		}
+	}
+	if second[0] <= first[0] {
+		t.Errorf("gsqld_runtime_gc_cycles_total did not advance across runtime.GC(): %v then %v", first[0], second[0])
+	}
+	if second[3] <= 0 {
+		t.Errorf("gsqld_runtime_heap_live_bytes = %v, want > 0", second[3])
+	}
+
+	// Concurrent scrapes each fold the runtime's counters in; none may
+	// add a difference another already added.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				do(s, "GET", "/metrics", "")
+			}
+		}()
+	}
+	wg.Wait()
+	got, _ := metricValue(s, "gsqld_runtime_gc_cycles_total")
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if got > float64(ms.NumGC) {
+		t.Errorf("gsqld_runtime_gc_cycles_total = %v after concurrent scrapes, runtime counts %d cycles", got, ms.NumGC)
 	}
 }
 

@@ -219,6 +219,12 @@ type Server struct {
 	mMVCCDelta  *metrics.Gauge   // gsqld_mvcc_delta_records
 	mMVCCFolds  *metrics.Counter // gsqld_mvcc_folds_total
 
+	runtimeMu  sync.Mutex            // serializes syncRuntimeMetrics' read-then-add
+	mGCCycles  *metrics.Counter      // gsqld_runtime_gc_cycles_total
+	mGCCPU     *metrics.FloatCounter // gsqld_runtime_gc_cpu_seconds_total
+	mHeapAlloc *metrics.Counter      // gsqld_runtime_heap_alloc_bytes_total
+	mHeapLive  *metrics.Gauge        // gsqld_runtime_heap_live_bytes
+
 	// Follower-mode metrics (registered only when cfg.Follower is set).
 	mReplApplied    *metrics.Counter // gsqld_replication_records_applied_total
 	mReplBytes      *metrics.Counter // gsqld_replication_bytes_total
@@ -291,6 +297,14 @@ func New(cfg Config) *Server {
 		"Mutation records accumulated since the graph's last fold point.")
 	s.mMVCCFolds = s.reg.Counter("gsqld_mvcc_folds_total",
 		"Delta folds re-basing the graph's canonical representation.")
+	s.mGCCycles = s.reg.Counter("gsqld_runtime_gc_cycles_total",
+		"Completed Go GC cycles.")
+	s.mGCCPU = s.reg.FloatCounter("gsqld_runtime_gc_cpu_seconds_total",
+		"Estimated CPU time spent in the Go GC (runtime/metrics /cpu/classes/gc/total).")
+	s.mHeapAlloc = s.reg.Counter("gsqld_runtime_heap_alloc_bytes_total",
+		"Bytes allocated on the Go heap since process start.")
+	s.mHeapLive = s.reg.Gauge("gsqld_runtime_heap_live_bytes",
+		"Heap bytes the last GC cycle marked live.")
 	if cfg.Follower != nil {
 		s.mReplApplied = s.reg.Counter("gsqld_replication_records_applied_total",
 			"WAL records shipped from the leader and applied locally.")
@@ -309,6 +323,7 @@ func New(cfg Config) *Server {
 	s.syncStorageMetrics() // fold in recovery/initial-persist counts from Open
 	s.syncReplicationMetrics()
 	s.syncMVCCMetrics() // folds from WAL replay before the server existed
+	s.syncRuntimeMetrics()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /queries", s.handleInstall)
@@ -340,6 +355,7 @@ func New(cfg Config) *Server {
 			s.syncStorageMetrics()
 			s.syncReplicationMetrics()
 			s.syncMVCCMetrics()
+			s.syncRuntimeMetrics()
 		}
 		s.hist.Start()
 	}
@@ -793,6 +809,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.syncStorageMetrics()
 	s.syncReplicationMetrics()
 	s.syncMVCCMetrics()
+	s.syncRuntimeMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

@@ -18,21 +18,21 @@ func typeErr(op string, a, b Value) error {
 func Add(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(a.i + b.i), nil
+		return NewInt(a.i() + b.i()), nil
 	case a.IsNumeric() && b.IsNumeric():
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		return NewFloat(af + bf), nil
 	case a.kind == KindString && b.kind == KindString:
-		return NewString(a.s + b.s), nil
+		return NewString(a.str() + b.str()), nil
 	case a.kind == KindDatetime && b.kind == KindInt:
-		return NewDatetime(a.i + b.i), nil
+		return NewDatetime(a.i() + b.i()), nil
 	case a.kind == KindInt && b.kind == KindDatetime:
-		return NewDatetime(a.i + b.i), nil
+		return NewDatetime(a.i() + b.i()), nil
 	case a.kind == KindList && b.kind == KindList:
-		out := make([]Value, 0, len(a.elems)+len(b.elems))
-		out = append(out, a.elems...)
-		out = append(out, b.elems...)
+		out := make([]Value, 0, len(a.elems())+len(b.elems()))
+		out = append(out, a.elems()...)
+		out = append(out, b.elems()...)
 		return NewList(out), nil
 	}
 	return Null, typeErr("+", a, b)
@@ -43,15 +43,15 @@ func Add(a, b Value) (Value, error) {
 func Sub(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(a.i - b.i), nil
+		return NewInt(a.i() - b.i()), nil
 	case a.IsNumeric() && b.IsNumeric():
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		return NewFloat(af - bf), nil
 	case a.kind == KindDatetime && b.kind == KindDatetime:
-		return NewInt(a.i - b.i), nil
+		return NewInt(a.i() - b.i()), nil
 	case a.kind == KindDatetime && b.kind == KindInt:
-		return NewDatetime(a.i - b.i), nil
+		return NewDatetime(a.i() - b.i()), nil
 	}
 	return Null, typeErr("-", a, b)
 }
@@ -60,7 +60,7 @@ func Sub(a, b Value) (Value, error) {
 func Mul(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(a.i * b.i), nil
+		return NewInt(a.i() * b.i()), nil
 	case a.IsNumeric() && b.IsNumeric():
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
@@ -103,19 +103,19 @@ func Mod(a, b Value) (Value, error) {
 	if a.kind != KindInt || b.kind != KindInt {
 		return Null, typeErr("%", a, b)
 	}
-	if b.i == 0 {
+	if b.i() == 0 {
 		return Null, errors.New("value: modulo by zero")
 	}
-	return NewInt(a.i % b.i), nil
+	return NewInt(a.i() % b.i()), nil
 }
 
 // Neg returns -a for numerics.
 func Neg(a Value) (Value, error) {
 	switch a.kind {
 	case KindInt:
-		return NewInt(-a.i), nil
+		return NewInt(-a.i()), nil
 	case KindFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.f()), nil
 	}
 	return Null, fmt.Errorf("%w: -%s", ErrType, a.Kind())
 }
@@ -124,12 +124,12 @@ func Neg(a Value) (Value, error) {
 func Abs(a Value) (Value, error) {
 	switch a.kind {
 	case KindInt:
-		if a.i < 0 {
-			return NewInt(-a.i), nil
+		if a.i() < 0 {
+			return NewInt(-a.i()), nil
 		}
 		return a, nil
 	case KindFloat:
-		return NewFloat(math.Abs(a.f)), nil
+		return NewFloat(math.Abs(a.f())), nil
 	}
 	return Null, fmt.Errorf("%w: abs(%s)", ErrType, a.Kind())
 }

@@ -4,8 +4,17 @@
 // references (vertex, edge), and the structured values produced by
 // collection accumulators (tuple, list, set, map).
 //
-// Values are immutable once constructed. Structured values share
-// underlying slices; callers that mutate must copy first.
+// A Value is 24 bytes: the kind, one payload word and one pointer.
+// Scalars live in the word (floats as their IEEE-754 bits); a string or
+// a structured value keeps its length in the word and a pointer to its
+// first byte, element or pair, nil when it is empty. Copying a Value
+// therefore copies three words, and the GC scans one pointer per value.
+// Value is deliberately not comparable, so v == w cannot compile into a
+// pointer comparison; compare with Equal.
+//
+// Values are immutable once constructed. Structured values share their
+// backing arrays; Elems and Pairs return slices with cap == len, and
+// callers that mutate must copy first.
 package value
 
 import (
@@ -15,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind discriminates the dynamic type held by a Value.
@@ -75,13 +85,31 @@ type Pair struct {
 }
 
 // Value is a runtime value. The zero Value is the null value.
+//
+// The payload is split across n and p, and the five accessors below
+// read it back. The only uses of unsafe in the module are in this file:
+// the constructors take p with unsafe.StringData or unsafe.SliceData,
+// and str, elems and pairs rebuild the payload from it with
+// unsafe.String or unsafe.Slice. There is no pointer arithmetic.
 type Value struct {
-	kind  Kind
-	i     int64   // bool (0/1), int, datetime, vertex id, edge id
-	f     float64 // float payload
-	s     string  // string payload
-	elems []Value // tuple/list/set payload
-	pairs []Pair  // map payload
+	_    [0]func() // makes Value non-comparable: == would compare p, not contents
+	kind Kind
+	n    uint64         // bool (0/1), int, datetime, vertex id, edge id; float bits; string/element/pair count
+	p    unsafe.Pointer // first string byte, element or pair; nil for scalars and empty payloads
+}
+
+func (v Value) i() int64       { return int64(v.n) }
+func (v Value) f() float64     { return math.Float64frombits(v.n) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+func (v Value) pairs() []Pair  { return unsafe.Slice((*Pair)(v.p), int(v.n)) }
+
+// elemsValue packs a tuple, list or set payload.
+func elemsValue(k Kind, elems []Value) Value {
+	if len(elems) == 0 {
+		return Value{kind: k}
+	}
+	return Value{kind: k, n: uint64(len(elems)), p: unsafe.Pointer(unsafe.SliceData(elems))}
 }
 
 // Null is the null value.
@@ -89,37 +117,42 @@ var Null = Value{}
 
 // NewBool returns a boolean value.
 func NewBool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
 // NewString returns a string value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+func NewString(s string) Value {
+	if s == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewDatetime returns a datetime value from Unix seconds.
-func NewDatetime(unixSec int64) Value { return Value{kind: KindDatetime, i: unixSec} }
+func NewDatetime(unixSec int64) Value { return Value{kind: KindDatetime, n: uint64(unixSec)} }
 
 // NewVertex returns a vertex reference for a graph-global vertex id.
-func NewVertex(id int64) Value { return Value{kind: KindVertex, i: id} }
+func NewVertex(id int64) Value { return Value{kind: KindVertex, n: uint64(id)} }
 
 // NewEdge returns an edge reference for a graph-global edge id.
-func NewEdge(id int64) Value { return Value{kind: KindEdge, i: id} }
+func NewEdge(id int64) Value { return Value{kind: KindEdge, n: uint64(id)} }
 
 // NewTuple returns a tuple value over the given fields. The slice is
 // retained; the caller must not mutate it afterwards.
-func NewTuple(fields []Value) Value { return Value{kind: KindTuple, elems: fields} }
+func NewTuple(fields []Value) Value { return elemsValue(KindTuple, fields) }
 
 // NewList returns a list value. The slice is retained.
-func NewList(elems []Value) Value { return Value{kind: KindList, elems: elems} }
+func NewList(elems []Value) Value { return elemsValue(KindList, elems) }
 
 // NewSet returns a set value with canonical (sorted, deduplicated)
 // element order. The input slice may be reordered in place.
@@ -131,7 +164,7 @@ func NewSet(elems []Value) Value {
 			out = append(out, e)
 		}
 	}
-	return Value{kind: KindSet, elems: out}
+	return elemsValue(KindSet, out)
 }
 
 // NewMap returns a map value with canonical key order. The input slice
@@ -146,7 +179,10 @@ func NewMap(pairs []Pair) Value {
 		}
 		out = append(out, p)
 	}
-	return Value{kind: KindMap, pairs: out}
+	if len(out) == 0 {
+		return Value{kind: KindMap}
+	}
+	return Value{kind: KindMap, n: uint64(len(out)), p: unsafe.Pointer(unsafe.SliceData(out))}
 }
 
 // Kind reports the value's dynamic kind.
@@ -158,60 +194,62 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // Bool returns the boolean payload; it panics for other kinds.
 func (v Value) Bool() bool {
 	v.mustBe(KindBool)
-	return v.i != 0
+	return v.i() != 0
 }
 
 // Int returns the integer payload; it panics for other kinds.
 func (v Value) Int() int64 {
 	v.mustBe(KindInt)
-	return v.i
+	return v.i()
 }
 
 // Float returns the floating-point payload; it panics for other kinds.
 func (v Value) Float() float64 {
 	v.mustBe(KindFloat)
-	return v.f
+	return v.f()
 }
 
 // Str returns the string payload; it panics for other kinds.
 func (v Value) Str() string {
 	v.mustBe(KindString)
-	return v.s
+	return v.str()
 }
 
 // Datetime returns the datetime payload in Unix seconds.
 func (v Value) Datetime() int64 {
 	v.mustBe(KindDatetime)
-	return v.i
+	return v.i()
 }
 
 // VertexID returns the vertex id payload.
 func (v Value) VertexID() int64 {
 	v.mustBe(KindVertex)
-	return v.i
+	return v.i()
 }
 
 // EdgeID returns the edge id payload.
 func (v Value) EdgeID() int64 {
 	v.mustBe(KindEdge)
-	return v.i
+	return v.i()
 }
 
-// Elems returns the elements of a tuple, list or set value. The
-// returned slice must not be mutated.
+// Elems returns the elements of a tuple, list or set value, nil when
+// there are none. The returned slice has cap == len and must not be
+// mutated.
 func (v Value) Elems() []Value {
 	switch v.kind {
 	case KindTuple, KindList, KindSet:
-		return v.elems
+		return v.elems()
 	}
 	panic(fmt.Sprintf("value: Elems on %s", v.kind))
 }
 
-// Pairs returns the entries of a map value in canonical key order. The
-// returned slice must not be mutated.
+// Pairs returns the entries of a map value in canonical key order, nil
+// when there are none. The returned slice has cap == len and must not
+// be mutated.
 func (v Value) Pairs() []Pair {
 	v.mustBe(KindMap)
-	return v.pairs
+	return v.pairs()
 }
 
 func (v Value) mustBe(k Kind) {
@@ -228,9 +266,9 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt, KindDatetime:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	}
 	return 0, false
 }
@@ -240,9 +278,9 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt, KindDatetime:
-		return v.i, true
+		return v.i(), true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.f()), true
 	}
 	return 0, false
 }
@@ -255,7 +293,7 @@ func (v *Value) TryInt() (int64, bool) {
 	if v.kind != KindInt {
 		return 0, false
 	}
-	return v.i, true
+	return v.i(), true
 }
 
 // TryFloat returns the float payload iff the kind is exactly float —
@@ -264,7 +302,7 @@ func (v *Value) TryFloat() (float64, bool) {
 	if v.kind != KindFloat {
 		return 0, false
 	}
-	return v.f, true
+	return v.f(), true
 }
 
 // Truthy reports whether the value is considered true in a condition:
@@ -272,14 +310,10 @@ func (v *Value) TryFloat() (float64, bool) {
 // null as false.
 func (v Value) Truthy() bool {
 	switch v.kind {
-	case KindBool:
-		return v.i != 0
-	case KindInt, KindDatetime:
-		return v.i != 0
+	case KindBool, KindInt, KindDatetime, KindString:
+		return v.n != 0
 	case KindFloat:
-		return v.f != 0
-	case KindString:
-		return v.s != ""
+		return v.f() != 0
 	case KindNull:
 		return false
 	default:
@@ -305,9 +339,9 @@ func Compare(a, b Value) int {
 		// Exact int/int comparison avoids float rounding.
 		if a.kind == KindInt && b.kind == KindInt {
 			switch {
-			case a.i < b.i:
+			case a.i() < b.i():
 				return -1
-			case a.i > b.i:
+			case a.i() > b.i():
 				return 1
 			}
 			return 0
@@ -331,41 +365,39 @@ func Compare(a, b Value) int {
 		return 0
 	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
 		switch {
-		case a.i < b.i:
+		case a.i() < b.i():
 			return -1
-		case a.i > b.i:
+		case a.i() > b.i():
 			return 1
 		}
 		return 0
 	case KindFloat:
 		switch {
-		case a.f < b.f:
+		case a.f() < b.f():
 			return -1
-		case a.f > b.f:
+		case a.f() > b.f():
 			return 1
 		}
 		return 0
 	case KindString:
-		return strings.Compare(a.s, b.s)
+		return strings.Compare(a.str(), b.str())
 	case KindTuple, KindList, KindSet:
-		return compareSlices(a.elems, b.elems)
+		return compareSlices(a.elems(), b.elems())
 	case KindMap:
-		n := len(a.pairs)
-		if len(b.pairs) < n {
-			n = len(b.pairs)
-		}
+		ap, bp := a.pairs(), b.pairs()
+		n := min(len(ap), len(bp))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.pairs[i].Key, b.pairs[i].Key); c != 0 {
+			if c := Compare(ap[i].Key, bp[i].Key); c != 0 {
 				return c
 			}
-			if c := Compare(a.pairs[i].Val, b.pairs[i].Val); c != 0 {
+			if c := Compare(ap[i].Val, bp[i].Val); c != 0 {
 				return c
 			}
 		}
 		switch {
-		case len(a.pairs) < len(b.pairs):
+		case len(ap) < len(bp):
 			return -1
-		case len(a.pairs) > len(b.pairs):
+		case len(ap) > len(bp):
 			return 1
 		}
 		return 0
@@ -410,30 +442,30 @@ func (v Value) Key() string {
 // float within ±2^62 encodes as the KindInt it equals, so 1 and 1.0
 // share a key as Compare's numeric cross-kind equality demands.
 func (v Value) AppendKey(b []byte) []byte {
-	if v.kind == KindFloat && v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= -1<<62 && v.f <= 1<<62 {
-		v = NewInt(int64(v.f))
+	if f := v.f(); v.kind == KindFloat && f == math.Trunc(f) && !math.IsInf(f, 0) && f >= -1<<62 && f <= 1<<62 {
+		v = NewInt(int64(f))
 	}
 	b = append(b, byte('A'+v.kind))
 	switch v.kind {
 	case KindNull:
 	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
-		b = strconv.AppendInt(b, v.i, 36)
+		b = strconv.AppendInt(b, v.i(), 36)
 	case KindFloat:
-		b = strconv.AppendUint(b, math.Float64bits(v.f), 36)
+		b = strconv.AppendUint(b, v.n, 36)
 	case KindString:
-		b = strconv.AppendInt(b, int64(len(v.s)), 10)
+		b = strconv.AppendUint(b, v.n, 10)
 		b = append(b, ':')
-		b = append(b, v.s...)
+		b = append(b, v.str()...)
 	case KindTuple, KindList, KindSet:
-		b = strconv.AppendInt(b, int64(len(v.elems)), 10)
-		for _, e := range v.elems {
+		b = strconv.AppendUint(b, v.n, 10)
+		for _, e := range v.elems() {
 			b = append(b, '(')
 			b = e.AppendKey(b)
 			b = append(b, ')')
 		}
 	case KindMap:
-		b = strconv.AppendInt(b, int64(len(v.pairs)), 10)
-		for _, p := range v.pairs {
+		b = strconv.AppendUint(b, v.n, 10)
+		for _, p := range v.pairs() {
 			b = append(b, '[')
 			b = p.Key.AppendKey(b)
 			b = append(b, '=')
@@ -453,17 +485,17 @@ func (v Value) AppendKey(b []byte) []byte {
 func (v Value) KeyExact() bool {
 	switch v.kind {
 	case KindInt:
-		return v.i >= -1<<53 && v.i <= 1<<53
+		return v.i() >= -1<<53 && v.i() <= 1<<53
 	case KindFloat:
-		return !math.IsNaN(v.f)
+		return !math.IsNaN(v.f())
 	case KindTuple, KindList, KindSet:
-		for _, e := range v.elems {
+		for _, e := range v.elems() {
 			if !e.KeyExact() {
 				return false
 			}
 		}
 	case KindMap:
-		for _, p := range v.pairs {
+		for _, p := range v.pairs() {
 			if !p.Key.KeyExact() || !p.Val.KeyExact() {
 				return false
 			}
@@ -478,22 +510,22 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.i != 0 {
+		if v.i() != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindDatetime:
-		return time.Unix(v.i, 0).UTC().Format("2006-01-02 15:04:05")
+		return time.Unix(v.i(), 0).UTC().Format("2006-01-02 15:04:05")
 	case KindVertex:
-		return "vertex(" + strconv.FormatInt(v.i, 10) + ")"
+		return "vertex(" + strconv.FormatInt(v.i(), 10) + ")"
 	case KindEdge:
-		return "edge(" + strconv.FormatInt(v.i, 10) + ")"
+		return "edge(" + strconv.FormatInt(v.i(), 10) + ")"
 	case KindTuple, KindList, KindSet:
 		open, close := "[", "]"
 		if v.kind == KindTuple {
@@ -501,14 +533,14 @@ func (v Value) String() string {
 		} else if v.kind == KindSet {
 			open, close = "{", "}"
 		}
-		parts := make([]string, len(v.elems))
-		for i, e := range v.elems {
+		parts := make([]string, v.n)
+		for i, e := range v.elems() {
 			parts[i] = e.String()
 		}
 		return open + strings.Join(parts, ", ") + close
 	case KindMap:
-		parts := make([]string, len(v.pairs))
-		for i, p := range v.pairs {
+		parts := make([]string, v.n)
+		for i, p := range v.pairs() {
 			parts[i] = p.Key.String() + ": " + p.Val.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"

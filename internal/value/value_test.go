@@ -1,12 +1,16 @@
 package value
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -51,9 +55,9 @@ func TestConstructorsAndAccessors(t *testing.T) {
 
 func TestSetCanonicalization(t *testing.T) {
 	s := NewSet([]Value{NewInt(3), NewInt(1), NewInt(3), NewInt(2), NewInt(1)})
-	want := []Value{NewInt(1), NewInt(2), NewInt(3)}
-	if !reflect.DeepEqual(s.Elems(), want) {
-		t.Fatalf("set canonical form: got %v want %v", s.Elems(), want)
+	want := NewList([]Value{NewInt(1), NewInt(2), NewInt(3)})
+	if got := NewList(s.Elems()); !Equal(got, want) {
+		t.Fatalf("set canonical form: got %v want %v", got, want)
 	}
 }
 
@@ -261,4 +265,515 @@ func TestFloatKeyNonInteger(t *testing.T) {
 	if a.Key() == b.Key() {
 		t.Error("adjacent distinct floats must have distinct keys")
 	}
+}
+
+// refValue is the oracle for Value: the original 88-byte layout, one Go
+// field per payload, with the package's functions over it copied
+// verbatim under ref-prefixed names. FuzzValueModel builds every value
+// through both and requires them to agree, so the packed layout is held
+// to the semantics of the plain one.
+type refPair struct {
+	Key refValue
+	Val refValue
+}
+
+type refValue struct {
+	kind  Kind
+	i     int64      // bool (0/1), int, datetime, vertex id, edge id
+	f     float64    // float payload
+	s     string     // string payload
+	elems []refValue // tuple/list/set payload
+	pairs []refPair  // map payload
+}
+
+var refNull = refValue{}
+
+func refNewBool(b bool) refValue {
+	var i int64
+	if b {
+		i = 1
+	}
+	return refValue{kind: KindBool, i: i}
+}
+
+func refNewInt(i int64) refValue { return refValue{kind: KindInt, i: i} }
+
+func refNewFloat(f float64) refValue { return refValue{kind: KindFloat, f: f} }
+
+func refNewString(s string) refValue { return refValue{kind: KindString, s: s} }
+
+func refNewDatetime(unixSec int64) refValue { return refValue{kind: KindDatetime, i: unixSec} }
+
+func refNewVertex(id int64) refValue { return refValue{kind: KindVertex, i: id} }
+
+func refNewEdge(id int64) refValue { return refValue{kind: KindEdge, i: id} }
+
+func refNewTuple(fields []refValue) refValue { return refValue{kind: KindTuple, elems: fields} }
+
+func refNewList(elems []refValue) refValue { return refValue{kind: KindList, elems: elems} }
+
+func refNewSet(elems []refValue) refValue {
+	sort.Slice(elems, func(i, j int) bool { return refLess(elems[i], elems[j]) })
+	out := elems[:0]
+	for i, e := range elems {
+		if i == 0 || !refEqual(e, elems[i-1]) {
+			out = append(out, e)
+		}
+	}
+	return refValue{kind: KindSet, elems: out}
+}
+
+func refNewMap(pairs []refPair) refValue {
+	sort.SliceStable(pairs, func(i, j int) bool { return refLess(pairs[i].Key, pairs[j].Key) })
+	out := pairs[:0]
+	for i, p := range pairs {
+		if i > 0 && refEqual(p.Key, out[len(out)-1].Key) {
+			out[len(out)-1] = p
+			continue
+		}
+		out = append(out, p)
+	}
+	return refValue{kind: KindMap, pairs: out}
+}
+
+func (v refValue) Kind() Kind { return v.kind }
+
+func (v refValue) IsNull() bool { return v.kind == KindNull }
+
+func (v refValue) Bool() bool {
+	v.mustBe(KindBool)
+	return v.i != 0
+}
+
+func (v refValue) Int() int64 {
+	v.mustBe(KindInt)
+	return v.i
+}
+
+func (v refValue) Float() float64 {
+	v.mustBe(KindFloat)
+	return v.f
+}
+
+func (v refValue) Str() string {
+	v.mustBe(KindString)
+	return v.s
+}
+
+func (v refValue) Datetime() int64 {
+	v.mustBe(KindDatetime)
+	return v.i
+}
+
+func (v refValue) VertexID() int64 {
+	v.mustBe(KindVertex)
+	return v.i
+}
+
+func (v refValue) EdgeID() int64 {
+	v.mustBe(KindEdge)
+	return v.i
+}
+
+func (v refValue) Elems() []refValue {
+	switch v.kind {
+	case KindTuple, KindList, KindSet:
+		return v.elems
+	}
+	panic(fmt.Sprintf("value: Elems on %s", v.kind))
+}
+
+func (v refValue) Pairs() []refPair {
+	v.mustBe(KindMap)
+	return v.pairs
+}
+
+func (v refValue) mustBe(k Kind) {
+	if v.kind != k {
+		panic(fmt.Sprintf("value: %s payload requested from %s value", k, v.kind))
+	}
+}
+
+func (v refValue) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+
+func (v refValue) AsFloat() (float64, bool) {
+	switch v.kind {
+	case KindInt, KindDatetime:
+		return float64(v.i), true
+	case KindFloat:
+		return v.f, true
+	}
+	return 0, false
+}
+
+func (v refValue) AsInt() (int64, bool) {
+	switch v.kind {
+	case KindInt, KindDatetime:
+		return v.i, true
+	case KindFloat:
+		return int64(v.f), true
+	}
+	return 0, false
+}
+
+func (v *refValue) TryInt() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return v.i, true
+}
+
+func (v *refValue) TryFloat() (float64, bool) {
+	if v.kind != KindFloat {
+		return 0, false
+	}
+	return v.f, true
+}
+
+func (v refValue) Truthy() bool {
+	switch v.kind {
+	case KindBool:
+		return v.i != 0
+	case KindInt, KindDatetime:
+		return v.i != 0
+	case KindFloat:
+		return v.f != 0
+	case KindString:
+		return v.s != ""
+	case KindNull:
+		return false
+	default:
+		return true
+	}
+}
+
+func refEqual(a, b refValue) bool { return refCompare(a, b) == 0 }
+
+func refLess(a, b refValue) bool { return refCompare(a, b) < 0 }
+
+func refCompare(a, b refValue) int {
+	if a.IsNumeric() && b.IsNumeric() {
+		af, _ := a.AsFloat()
+		bf, _ := b.AsFloat()
+		// Exact int/int comparison avoids float rounding.
+		if a.kind == KindInt && b.kind == KindInt {
+			switch {
+			case a.i < b.i:
+				return -1
+			case a.i > b.i:
+				return 1
+			}
+			return 0
+		}
+		switch {
+		case af < bf:
+			return -1
+		case af > bf:
+			return 1
+		}
+		return 0
+	}
+	if a.kind != b.kind {
+		if a.kind < b.kind {
+			return -1
+		}
+		return 1
+	}
+	switch a.kind {
+	case KindNull:
+		return 0
+	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
+		switch {
+		case a.i < b.i:
+			return -1
+		case a.i > b.i:
+			return 1
+		}
+		return 0
+	case KindFloat:
+		switch {
+		case a.f < b.f:
+			return -1
+		case a.f > b.f:
+			return 1
+		}
+		return 0
+	case KindString:
+		return strings.Compare(a.s, b.s)
+	case KindTuple, KindList, KindSet:
+		return refCompareSlices(a.elems, b.elems)
+	case KindMap:
+		n := len(a.pairs)
+		if len(b.pairs) < n {
+			n = len(b.pairs)
+		}
+		for i := 0; i < n; i++ {
+			if c := refCompare(a.pairs[i].Key, b.pairs[i].Key); c != 0 {
+				return c
+			}
+			if c := refCompare(a.pairs[i].Val, b.pairs[i].Val); c != 0 {
+				return c
+			}
+		}
+		switch {
+		case len(a.pairs) < len(b.pairs):
+			return -1
+		case len(a.pairs) > len(b.pairs):
+			return 1
+		}
+		return 0
+	default:
+		return 0
+	}
+}
+
+func refCompareSlices(a, b []refValue) int {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		if c := refCompare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
+}
+
+func (v refValue) Key() string {
+	var buf [64]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+func (v refValue) AppendKey(b []byte) []byte {
+	if v.kind == KindFloat && v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= -1<<62 && v.f <= 1<<62 {
+		v = refNewInt(int64(v.f))
+	}
+	b = append(b, byte('A'+v.kind))
+	switch v.kind {
+	case KindNull:
+	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
+		b = strconv.AppendInt(b, v.i, 36)
+	case KindFloat:
+		b = strconv.AppendUint(b, math.Float64bits(v.f), 36)
+	case KindString:
+		b = strconv.AppendInt(b, int64(len(v.s)), 10)
+		b = append(b, ':')
+		b = append(b, v.s...)
+	case KindTuple, KindList, KindSet:
+		b = strconv.AppendInt(b, int64(len(v.elems)), 10)
+		for _, e := range v.elems {
+			b = append(b, '(')
+			b = e.AppendKey(b)
+			b = append(b, ')')
+		}
+	case KindMap:
+		b = strconv.AppendInt(b, int64(len(v.pairs)), 10)
+		for _, p := range v.pairs {
+			b = append(b, '[')
+			b = p.Key.AppendKey(b)
+			b = append(b, '=')
+			b = p.Val.AppendKey(b)
+			b = append(b, ']')
+		}
+	}
+	return b
+}
+
+func (v refValue) KeyExact() bool {
+	switch v.kind {
+	case KindInt:
+		return v.i >= -1<<53 && v.i <= 1<<53
+	case KindFloat:
+		return !math.IsNaN(v.f)
+	case KindTuple, KindList, KindSet:
+		for _, e := range v.elems {
+			if !e.KeyExact() {
+				return false
+			}
+		}
+	case KindMap:
+		for _, p := range v.pairs {
+			if !p.Key.KeyExact() || !p.Val.KeyExact() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (v refValue) String() string {
+	switch v.kind {
+	case KindNull:
+		return "null"
+	case KindBool:
+		if v.i != 0 {
+			return "true"
+		}
+		return "false"
+	case KindInt:
+		return strconv.FormatInt(v.i, 10)
+	case KindFloat:
+		return strconv.FormatFloat(v.f, 'g', -1, 64)
+	case KindString:
+		return v.s
+	case KindDatetime:
+		return time.Unix(v.i, 0).UTC().Format("2006-01-02 15:04:05")
+	case KindVertex:
+		return "vertex(" + strconv.FormatInt(v.i, 10) + ")"
+	case KindEdge:
+		return "edge(" + strconv.FormatInt(v.i, 10) + ")"
+	case KindTuple, KindList, KindSet:
+		open, close := "[", "]"
+		if v.kind == KindTuple {
+			open, close = "(", ")"
+		} else if v.kind == KindSet {
+			open, close = "{", "}"
+		}
+		parts := make([]string, len(v.elems))
+		for i, e := range v.elems {
+			parts[i] = e.String()
+		}
+		return open + strings.Join(parts, ", ") + close
+	case KindMap:
+		parts := make([]string, len(v.pairs))
+		for i, p := range v.pairs {
+			parts[i] = p.Key.String() + ": " + p.Val.String()
+		}
+		return "{" + strings.Join(parts, ", ") + "}"
+	default:
+		return "?"
+	}
+}
+
+func refTypeErr(op string, a, b refValue) error {
+	return fmt.Errorf("%w: %s %s %s", ErrType, a.Kind(), op, b.Kind())
+}
+
+func refAdd(a, b refValue) (refValue, error) {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return refNewInt(a.i + b.i), nil
+	case a.IsNumeric() && b.IsNumeric():
+		af, _ := a.AsFloat()
+		bf, _ := b.AsFloat()
+		return refNewFloat(af + bf), nil
+	case a.kind == KindString && b.kind == KindString:
+		return refNewString(a.s + b.s), nil
+	case a.kind == KindDatetime && b.kind == KindInt:
+		return refNewDatetime(a.i + b.i), nil
+	case a.kind == KindInt && b.kind == KindDatetime:
+		return refNewDatetime(a.i + b.i), nil
+	case a.kind == KindList && b.kind == KindList:
+		out := make([]refValue, 0, len(a.elems)+len(b.elems))
+		out = append(out, a.elems...)
+		out = append(out, b.elems...)
+		return refNewList(out), nil
+	}
+	return refNull, refTypeErr("+", a, b)
+}
+
+func refSub(a, b refValue) (refValue, error) {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return refNewInt(a.i - b.i), nil
+	case a.IsNumeric() && b.IsNumeric():
+		af, _ := a.AsFloat()
+		bf, _ := b.AsFloat()
+		return refNewFloat(af - bf), nil
+	case a.kind == KindDatetime && b.kind == KindDatetime:
+		return refNewInt(a.i - b.i), nil
+	case a.kind == KindDatetime && b.kind == KindInt:
+		return refNewDatetime(a.i - b.i), nil
+	}
+	return refNull, refTypeErr("-", a, b)
+}
+
+func refMul(a, b refValue) (refValue, error) {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return refNewInt(a.i * b.i), nil
+	case a.IsNumeric() && b.IsNumeric():
+		af, _ := a.AsFloat()
+		bf, _ := b.AsFloat()
+		return refNewFloat(af * bf), nil
+	}
+	return refNull, refTypeErr("*", a, b)
+}
+
+func refDiv(a, b refValue) (refValue, error) {
+	if !a.IsNumeric() || !b.IsNumeric() {
+		return refNull, refTypeErr("/", a, b)
+	}
+	af, _ := a.AsFloat()
+	bf, _ := b.AsFloat()
+	if bf == 0 && a.kind == KindInt && b.kind == KindInt {
+		return refNull, errors.New("value: integer division by zero")
+	}
+	return refNewFloat(af / bf), nil
+}
+
+func refIntDiv(a, b refValue) (refValue, error) {
+	ai, aok := a.AsInt()
+	bi, bok := b.AsInt()
+	if !aok || !bok {
+		return refNull, refTypeErr("div", a, b)
+	}
+	if bi == 0 {
+		return refNull, errors.New("value: integer division by zero")
+	}
+	return refNewInt(ai / bi), nil
+}
+
+func refMod(a, b refValue) (refValue, error) {
+	if a.kind != KindInt || b.kind != KindInt {
+		return refNull, refTypeErr("%", a, b)
+	}
+	if b.i == 0 {
+		return refNull, errors.New("value: modulo by zero")
+	}
+	return refNewInt(a.i % b.i), nil
+}
+
+func refNeg(a refValue) (refValue, error) {
+	switch a.kind {
+	case KindInt:
+		return refNewInt(-a.i), nil
+	case KindFloat:
+		return refNewFloat(-a.f), nil
+	}
+	return refNull, fmt.Errorf("%w: -%s", ErrType, a.Kind())
+}
+
+func refAbs(a refValue) (refValue, error) {
+	switch a.kind {
+	case KindInt:
+		if a.i < 0 {
+			return refNewInt(-a.i), nil
+		}
+		return a, nil
+	case KindFloat:
+		return refNewFloat(math.Abs(a.f)), nil
+	}
+	return refNull, fmt.Errorf("%w: abs(%s)", ErrType, a.Kind())
+}
+
+func refMinOf(a, b refValue) refValue {
+	if refCompare(a, b) <= 0 {
+		return a
+	}
+	return b
+}
+
+func refMaxOf(a, b refValue) refValue {
+	if refCompare(a, b) >= 0 {
+		return a
+	}
+	return b
 }
