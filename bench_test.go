@@ -22,8 +22,12 @@ package gsqlgo
 // tables.
 
 import (
+	"context"
 	"fmt"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gsqlgo/internal/core"
@@ -60,8 +64,8 @@ func BenchmarkTable1ASPCount(b *testing.B) {
 		v0, vn := diamondEndpoints(b, g, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, mult, ok := match.CountASPPair(g, d, v0, vn); !ok || mult != 1<<uint(n) {
-					b.Fatalf("count %d", mult)
+				if _, mult, ok, err := match.CountASPPair(g, d, v0, vn); err != nil || !ok || mult != 1<<uint(n) {
+					b.Fatalf("count %d err %v", mult, err)
 				}
 			}
 		})
@@ -288,26 +292,57 @@ func BenchmarkSDMC(b *testing.B) {
 		v0, _ := g.VertexByKey("V", "v0")
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				match.CountASP(g, d, v0)
+				if _, err := match.CountASPCtx(context.Background(), g, d, v0); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
 // BenchmarkSDMCAllPairs exercises the all-paths SDMC flavor (one BFS
-// per source) sequentially and with parallel workers, on the SNB-like
-// graph with the bounded KNOWS pattern.
+// per source, every result kept) on the SNB-like graph with the
+// bounded KNOWS pattern: one SourceCounter over all sources, then
+// GOMAXPROCS counters pulling sources from an atomic cursor — the
+// engine's counted-hop pattern.
 func BenchmarkSDMCAllPairs(b *testing.B) {
 	g := ldbc.Generate(ldbc.Config{SF: 0.2, Seed: 7})
 	d := darpe.MustCompile("Knows*1..3")
+	nV := g.NumVertices()
+	newCounter := func(b *testing.B) *match.SourceCounter {
+		sc, err := match.NewSourceCounter(g, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sc
+	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			match.CountASPAll(g, d)
+			out := make([]*match.Counts, nV)
+			sc := newCounter(b)
+			for v := range out {
+				out[v], _ = sc.Count(graph.VID(v), nil)
+			}
+			sc.Close()
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			match.CountASPAllParallel(g, d, 0)
+			out := make([]*match.Counts, nV)
+			var cursor atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+				sc := newCounter(b)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer sc.Close()
+					for v := cursor.Add(1) - 1; v < int64(nV); v = cursor.Add(1) - 1 {
+						out[v], _ = sc.Count(graph.VID(v), nil)
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	})
 }

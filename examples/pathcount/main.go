@@ -26,7 +26,10 @@ func main() {
 	d := darpe.MustCompile("E>*")
 	src, _ := g1.VertexByKey("V", "1")
 	dst, _ := g1.VertexByKey("V", "5")
-	_, asp, _ := match.CountASPPair(g1, d, src, dst)
+	_, asp, _, err := match.CountASPPair(g1, d, src, dst)
+	if err != nil {
+		log.Fatal(err)
+	}
 	nre, err := match.CountEnumPair(g1, d, src, dst, match.NonRepeatedEdge, match.EnumLimits{})
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +38,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex := match.CountExists(g1, d, src)
+	ex, err := match.CountExists(g1, d, src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  non-repeated-vertex: %d   (paper: 3)\n", nrv)
 	fmt.Printf("  non-repeated-edge:   %d   (paper: 4)\n", nre)
 	fmt.Printf("  all-shortest-paths:  %d   (paper: 2)\n", asp)
@@ -46,7 +52,10 @@ func main() {
 	d2 := darpe.MustCompile("E>*.F>.E>*")
 	s2, _ := g2.VertexByKey("V", "1")
 	t2, _ := g2.VertexByKey("V", "4")
-	_, asp2, _ := match.CountASPPair(g2, d2, s2, t2)
+	_, asp2, _, err := match.CountASPPair(g2, d2, s2, t2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	nre2, _ := match.CountEnumPair(g2, d2, s2, t2, match.NonRepeatedEdge, match.EnumLimits{})
 	nrv2, _ := match.CountEnumPair(g2, d2, s2, t2, match.NonRepeatedVertex, match.EnumLimits{})
 	fmt.Printf("  all-shortest-paths finds %d match (the path repeats vertex 2, 3 and an edge)\n", asp2)
@@ -57,7 +66,10 @@ func main() {
 	d3 := darpe.MustCompile("A>.(B>|D>)._>.A>")
 	v, _ := cyc.VertexByKey("V", "v")
 	u, _ := cyc.VertexByKey("V", "u")
-	_, asp3, ok3 := match.CountASPPair(cyc, d3, v, u)
+	_, asp3, ok3, err := match.CountASPPair(cyc, d3, v, u)
+	if err != nil {
+		log.Fatal(err)
+	}
 	nre3, _ := match.CountEnumPair(cyc, d3, v, u, match.NonRepeatedEdge, match.EnumLimits{})
 	fmt.Printf("  all-shortest-paths: match=%v count=%d (wraps the cycle)\n", ok3, asp3)
 	fmt.Printf("  non-repeated-edge:  count=%d (cycle wrap disallowed)\n", nre3)
@@ -69,8 +81,11 @@ func main() {
 	for n := 2; n <= *maxN; n += 2 {
 		vn, _ := g.VertexByKey("V", fmt.Sprintf("v%d", n))
 		start := time.Now()
-		_, cnt, _ := match.CountASPPair(g, d, v0, vn)
+		_, cnt, _, err := match.CountASPPair(g, d, v0, vn)
 		aspT := time.Since(start)
+		if err != nil {
+			log.Fatal(err)
+		}
 		start = time.Now()
 		ecnt, err := match.CountEnumPair(g, d, v0, vn, match.NonRepeatedEdge, match.EnumLimits{})
 		if err != nil {

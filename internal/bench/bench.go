@@ -18,6 +18,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -78,8 +79,11 @@ func Table1(w io.Writer, cfg Table1Config) error {
 		vn, _ := g.VertexByKey("V", fmt.Sprintf("v%d", n))
 
 		start := time.Now()
-		_, mult, ok := match.CountASPPair(g, d, v0, vn)
+		_, mult, ok, err := match.CountASPPair(g, d, v0, vn)
 		aspTime := time.Since(start)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			return fmt.Errorf("bench: v%d unreachable", n)
 		}
@@ -320,8 +324,11 @@ func SDMCScaling(w io.Writer, sizes []int) error {
 		v0, _ := g.VertexByKey("V", "v0")
 		vn, _ := g.VertexByKey("V", fmt.Sprintf("v%d", n))
 		start := time.Now()
-		c := match.CountASP(g, d, v0)
+		c, err := match.CountASPCtx(context.Background(), g, d, v0)
 		el := time.Since(start)
+		if err != nil {
+			return err
+		}
 		paths := fmt.Sprintf("%d", c.Mult[vn])
 		if c.Saturated {
 			paths = "2^" + fmt.Sprint(n) + " (saturated)"

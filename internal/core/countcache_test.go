@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gsqlgo/internal/darpe"
@@ -112,6 +113,17 @@ func TestCountCacheDisabled(t *testing.T) {
 	}
 }
 
+// countASP is match.CountASPCtx under a background context; an error
+// fails the test.
+func countASP(t testing.TB, g *graph.Graph, d *darpe.DFA, src graph.VID) *match.Counts {
+	t.Helper()
+	c, err := match.CountASPCtx(context.Background(), g, d, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestCountCacheLRUCap white-boxes the bound: at cap 2, inserting a
 // third key evicts the least recently used.
 func TestCountCacheLRUCap(t *testing.T) {
@@ -123,7 +135,7 @@ func TestCountCacheLRUCap(t *testing.T) {
 		return countKey{d: d, sem: match.AllShortestPaths, src: src}
 	}
 	for src := graph.VID(0); src < 3; src++ {
-		cc.put(key(src), match.CountASP(g, d, src), epoch)
+		cc.put(key(src), countASP(t, g, d, src), epoch)
 	}
 	if cc.len() != 2 {
 		t.Fatalf("cache len=%d, want cap 2", cc.len())
@@ -137,7 +149,7 @@ func TestCountCacheLRUCap(t *testing.T) {
 	// get refreshes recency: touching key 1 makes key 2 the eviction
 	// victim on the next insert.
 	cc.get(key(1), epoch)
-	cc.put(key(3), match.CountASP(g, d, 3), epoch)
+	cc.put(key(3), countASP(t, g, d, 3), epoch)
 	if cc.get(key(2), epoch) != nil || cc.get(key(1), epoch) == nil {
 		t.Error("LRU recency not updated by get")
 	}
@@ -145,7 +157,7 @@ func TestCountCacheLRUCap(t *testing.T) {
 	if _, err := g.AddVertex("V", "extra", map[string]value.Value{}); err != nil {
 		t.Fatal(err)
 	}
-	cc.put(key(4), match.CountASP(g, d, 0), epoch)
+	cc.put(key(4), countASP(t, g, d, 0), epoch)
 	if cc.len() != 0 {
 		t.Errorf("stale-epoch put inserted (len=%d); mutation must clear the cache", cc.len())
 	}
@@ -168,7 +180,7 @@ func TestCountCacheStaleSnapshotReader(t *testing.T) {
 	// A reader pins a snapshot, computes, but has not inserted yet.
 	snap := g.Snapshot()
 	staleEpoch := snap.Epoch()
-	staleCounts := match.CountASP(snap, d, 0)
+	staleCounts := countASP(t, snap, d, 0)
 
 	// Writer publishes new topology; a head-epoch reader warms the
 	// cache for the new epoch.
@@ -176,7 +188,7 @@ func TestCountCacheStaleSnapshotReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	headEpoch := g.Epoch()
-	headCounts := match.CountASP(g, d, 0)
+	headCounts := countASP(t, g, d, 0)
 	cc.put(key(0), headCounts, headEpoch)
 	if got := cc.get(key(0), headEpoch); got != headCounts {
 		t.Fatal("head-epoch reader must hit its own entry")

@@ -15,6 +15,7 @@ import (
 //	ErrCancelled    → HTTP 408
 //	ErrOverload     → HTTP 429
 //	ErrDuplicateQuery → HTTP 409
+//	ErrResourceLimit  → HTTP 422
 //
 // Every sentinel is wrapped (never returned bare) so messages keep
 // their context while errors.Is keeps working.
@@ -35,6 +36,10 @@ var (
 	// ErrDuplicateQuery reports an Install of a query name that is
 	// already in the catalog.
 	ErrDuplicateQuery = errors.New("query already installed")
+	// ErrResourceLimit reports a run refused because its working set
+	// exceeds a hard engine limit, such as a pattern's product graph
+	// being too large for the SDMC kernel (match.ErrProductTooLarge).
+	ErrResourceLimit = errors.New("resource limit exceeded")
 )
 
 // cancelErr wraps the context's cause as an ErrCancelled.

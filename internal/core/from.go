@@ -661,12 +661,13 @@ const maxSDMCSpans = 16
 
 // countSources runs the cache-missed single-source count runs for one
 // counted hop, filling counts[i] for every i in missing. With more
-// than one missing source and worker, runs spread over goroutines in
-// the CountASPAllParallel pattern: an atomic source cursor, one pooled
-// kernel scratch per worker (via match.SourceCounter), cancellation
-// observed at the kernel's own stride. Errors are reported in missing
-// order — the first failing source is the one the serial loop would
-// have failed on.
+// than one missing source and worker, runs spread over goroutines: an
+// atomic source cursor, one match.SourceCounter (and so one pooled
+// kernel scratch) per worker, cancellation observed at the kernel's
+// own stride. Errors are reported in missing order — the first failing
+// source is the one the serial loop would have failed on. A pattern
+// whose product graph the kernel cannot address fails the hop once,
+// before any run, as an ErrResourceLimit.
 func (rs *runState) countSources(hop *gsql.Hop, d *darpe.DFA, sources []graph.VID, missing []int, counts []*match.Counts, hsp *trace.Span) error {
 	g := rs.g
 	// Span budget shared by the (possibly parallel) workers; spans
@@ -727,16 +728,20 @@ func (rs *runState) countSources(hop *gsql.Hop, d *darpe.DFA, sources []graph.VI
 		}
 		return c, nil
 	}
-	workers := rs.e.workers()
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	if workers <= 1 {
-		var sc *match.SourceCounter
-		if needKernel {
-			sc = match.NewSourceCounter(g, d)
+	workers := max(1, min(rs.e.workers(), len(missing)))
+	counters := make([]*match.SourceCounter, workers)
+	if needKernel {
+		for w := range counters {
+			sc, err := match.NewSourceCounter(g, d)
+			if err != nil {
+				return fmt.Errorf("pattern -(%s)-: %w: %w", hop.DarpeText, ErrResourceLimit, err)
+			}
 			defer sc.Close()
+			counters[w] = sc
 		}
+	}
+	if workers == 1 {
+		sc := counters[0]
 		for _, i := range missing {
 			ssp := startKernelSpan(sources[i])
 			c, err := countOne(sc, sources[i])
@@ -752,15 +757,10 @@ func (rs *runState) countSources(hop *gsql.Hop, d *darpe.DFA, sources []graph.VI
 	var failed atomic.Bool
 	errs := make([]error, len(missing))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, sc := range counters {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *match.SourceCounter
-			if needKernel {
-				sc = match.NewSourceCounter(g, d)
-				defer sc.Close()
-			}
 			for {
 				mi := atomic.AddInt64(&cursor, 1)
 				if mi >= int64(len(missing)) || failed.Load() {

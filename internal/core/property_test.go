@@ -16,7 +16,7 @@ import (
 // (pattern → binding table → ACCUM with multiplicity shortcut) agrees
 // with the match-level SDMC counter on random mixed graphs and
 // patterns: the GSQL path-count query must report exactly
-// CountASP's multiplicity for every reachable pair.
+// match.CountASPCtx's multiplicity for every reachable pair.
 func TestEngineCountsMatchSDMC(t *testing.T) {
 	patterns := []string{"D1>*", "(D1>|D2>)*", "U*1..3", "D1>.(U|<D2)*", "_*1..2"}
 	prop := func(seed int64) bool {
@@ -25,7 +25,7 @@ func TestEngineCountsMatchSDMC(t *testing.T) {
 		pat := patterns[r.Intn(len(patterns))]
 		d := darpe.MustCompile(pat)
 		src := graph.VID(r.Intn(g.NumVertices()))
-		counts := match.CountASP(g, d, src)
+		counts := countASP(t, g, d, src)
 
 		e := New(g, Options{})
 		q := `

@@ -3,11 +3,7 @@ package match
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"gsqlgo/internal/darpe"
 	"gsqlgo/internal/graph"
@@ -26,9 +22,9 @@ func ctxErr(ctx context.Context) error {
 	return fmt.Errorf("match: cancelled: %w", context.Cause(ctx))
 }
 
-// CountASP solves the single-source SDMC problem (Theorem 6.1): for
-// every vertex t it computes the length of the shortest path from src
-// to t satisfying the DARPE, and the exact number of such shortest
+// CountASPCtx solves the single-source SDMC problem (Theorem 6.1):
+// for every vertex t it computes the length of the shortest path from
+// src to t satisfying the DARPE, and the exact number of such shortest
 // paths, in time O(V·Q + E·Q) for a Q-state DFA — polynomial in the
 // graph, never materializing paths.
 //
@@ -39,42 +35,24 @@ func ctxErr(ctx context.Context) error {
 // edges contribute separately because expansion iterates half-edges,
 // not neighbors.
 //
-// The hot loop runs on the graph's frozen CSR adjacency (freezing it
-// on first use) with pooled scratch buffers; per call it allocates
-// only the returned Counts.
-func CountASP(g *graph.Graph, d *darpe.DFA, src graph.VID) *Counts {
-	res, _ := countASP(g, d, src, nil)
-	return res
-}
-
-// CountASPCtx is CountASP under a context: the BFS frontier loop polls
-// ctx.Done() on a stride and aborts with the context's error, so
-// serving-layer deadlines stop kernel work mid-run.
+// It is one SourceCounter run: the hot loop reads the graph's frozen
+// CSR adjacency (freezing it on first use) with a pooled scratch. The
+// BFS polls ctx.Done() on a stride and aborts with the context's
+// error, so serving-layer deadlines stop kernel work mid-run. A
+// product space the kernel cannot address yields ErrProductTooLarge.
 func CountASPCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA, src graph.VID) (*Counts, error) {
-	res, ok := countASP(g, d, src, ctx.Done())
+	// A stack counter, not NewSourceCounter: the one-shot run then
+	// allocates no more than the kernel itself.
+	var sc SourceCounter
+	if err := sc.init(g, d); err != nil {
+		return nil, err
+	}
+	defer sc.Close()
+	res, ok := sc.Count(src, ctx.Done())
 	if !ok {
 		return nil, ctxErr(ctx)
 	}
 	return res, nil
-}
-
-// countASP dispatches between the CSR kernel and the reference
-// fallback; done == nil disables cancellation.
-func countASP(g *graph.Graph, d *darpe.DFA, src graph.VID, done <-chan struct{}) (*Counts, bool) {
-	nV := g.NumVertices()
-	res := newCounts(nV)
-	if nV == 0 {
-		return res, true
-	}
-	nQ := d.NumStates()
-	if int64(nV)*int64(nQ) > math.MaxInt32 {
-		// Product space exceeds the CSR kernel's int32 node ids.
-		return countASPReferenceDone(g, d, src, done)
-	}
-	s := getScratch(nV * nQ)
-	ok := countASPInto(g.Freeze(), d, typeResolver(g, d), src, s, res, done)
-	putScratch(s)
-	return res, ok
 }
 
 // countASPInto is the zero-allocation SDMC kernel: one single-source
@@ -194,170 +172,29 @@ func countASPInto(c *graph.CSR, d *darpe.DFA, types []int, src graph.VID, s *scr
 }
 
 // CountASPPair solves the single-pair SDMC flavor. ok is false when no
-// satisfying path exists.
-func CountASPPair(g *graph.Graph, d *darpe.DFA, src, dst graph.VID) (dist int, mult uint64, ok bool) {
+// satisfying path exists; err is CountASPCtx's.
+func CountASPPair(g *graph.Graph, d *darpe.DFA, src, dst graph.VID) (dist int, mult uint64, ok bool, err error) {
 	if src == dst && d.Accepting(d.Start()) {
 		// The empty path is the unique length-0 path and no shorter
 		// one exists: answer without running the BFS.
-		return 0, 1, true
+		return 0, 1, true, nil
 	}
-	c := CountASP(g, d, src)
-	if !c.HasPath(dst) {
-		return 0, 0, false
+	c, err := CountASPCtx(context.Background(), g, d, src)
+	if err != nil || !c.HasPath(dst) {
+		return 0, 0, false, err
 	}
-	return int(c.Dist[dst]), c.Mult[dst], true
-}
-
-// allCounts carves the result set of an all-pairs run out of three
-// bulk allocations (structs, Dist slab, Mult slab) instead of 3·V
-// little ones; sources write disjoint regions, so parallel workers
-// share it safely.
-func allCounts(nV int) ([]*Counts, []Counts) {
-	out := make([]*Counts, nV)
-	counts := make([]Counts, nV)
-	distSlab := make([]int32, nV*nV)
-	for i := range distSlab {
-		distSlab[i] = -1
-	}
-	multSlab := make([]uint64, nV*nV)
-	for v := 0; v < nV; v++ {
-		counts[v].Dist = distSlab[v*nV : (v+1)*nV : (v+1)*nV]
-		counts[v].Mult = multSlab[v*nV : (v+1)*nV : (v+1)*nV]
-		out[v] = &counts[v]
-	}
-	return out, counts
-}
-
-// CountASPAll solves the all-paths SDMC flavor: one single-source run
-// per vertex. The result is indexed by source vertex. The CSR, the
-// DFA's type table and the kernel scratch are set up once and shared
-// across all V runs.
-func CountASPAll(g *graph.Graph, d *darpe.DFA) []*Counts {
-	out, _ := countASPAll(g, d, nil)
-	return out
-}
-
-// CountASPAllCtx is CountASPAll under a context: cancellation is
-// checked between per-source runs and inside each run's frontier loop.
-func CountASPAllCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA) ([]*Counts, error) {
-	out, ok := countASPAll(g, d, ctx.Done())
-	if !ok {
-		return nil, ctxErr(ctx)
-	}
-	return out, nil
-}
-
-func countASPAll(g *graph.Graph, d *darpe.DFA, done <-chan struct{}) ([]*Counts, bool) {
-	nV := g.NumVertices()
-	if nV == 0 {
-		return nil, true
-	}
-	nQ := d.NumStates()
-	if int64(nV)*int64(nQ) > math.MaxInt32 {
-		out := make([]*Counts, nV)
-		for v := 0; v < nV; v++ {
-			res, ok := countASPReferenceDone(g, d, graph.VID(v), done)
-			if !ok {
-				return nil, false
-			}
-			out[v] = res
-		}
-		return out, true
-	}
-	c := g.Freeze()
-	types := typeResolver(g, d)
-	out, counts := allCounts(nV)
-	s := getScratch(nV * nQ)
-	defer putScratch(s)
-	for v := 0; v < nV; v++ {
-		if !countASPInto(c, d, types, graph.VID(v), s, &counts[v], done) {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// CountASPAllParallel is CountASPAll with the independent per-source
-// BFS runs spread over the given number of workers (0 = GOMAXPROCS).
-// Sources are embarrassingly parallel — the paper's "particularly
-// well-suited to parallel graph processing" observation applies to the
-// counting itself, not only to accumulation. Each worker owns one
-// pooled scratch for its whole run.
-func CountASPAllParallel(g *graph.Graph, d *darpe.DFA, workers int) []*Counts {
-	out, _ := countASPAllParallel(g, d, workers, nil)
-	return out
-}
-
-// CountASPAllParallelCtx is CountASPAllParallel under a context. On
-// cancellation every worker exits at its next frontier-stride poll (or
-// next source pickup), so no goroutines outlive the call.
-func CountASPAllParallelCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA, workers int) ([]*Counts, error) {
-	out, ok := countASPAllParallel(g, d, workers, ctx.Done())
-	if !ok {
-		return nil, ctxErr(ctx)
-	}
-	return out, nil
-}
-
-func countASPAllParallel(g *graph.Graph, d *darpe.DFA, workers int, done <-chan struct{}) ([]*Counts, bool) {
-	nV := g.NumVertices()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nV {
-		workers = nV
-	}
-	nQ := d.NumStates()
-	if workers <= 1 || int64(nV)*int64(nQ) > math.MaxInt32 {
-		return countASPAll(g, d, done)
-	}
-	c := g.Freeze()
-	types := typeResolver(g, d)
-	out, counts := allCounts(nV)
-	var nextSrc int64 = -1
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := getScratch(nV * nQ)
-			defer putScratch(s)
-			for {
-				v := atomic.AddInt64(&nextSrc, 1)
-				if v >= int64(nV) || cancelled.Load() {
-					return
-				}
-				if !countASPInto(c, d, types, graph.VID(v), s, &counts[v], done) {
-					cancelled.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, false
-	}
-	return out, true
+	return int(c.Dist[dst]), c.Mult[dst], true, nil
 }
 
 // CountExists implements the SparQL-style existence semantics: every
 // vertex reachable through a satisfying path gets multiplicity 1, with
 // Dist reporting the shortest satisfying length.
-func CountExists(g *graph.Graph, d *darpe.DFA, src graph.VID) *Counts {
-	c := CountASP(g, d, src)
-	existsify(c)
-	return c
-}
-
-// CountExistsCtx is CountExists under a context (see CountASPCtx).
-func CountExistsCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA, src graph.VID) (*Counts, error) {
-	c, err := CountASPCtx(ctx, g, d, src)
+func CountExists(g *graph.Graph, d *darpe.DFA, src graph.VID) (*Counts, error) {
+	c, err := CountASPCtx(context.Background(), g, d, src)
 	if err != nil {
 		return nil, err
 	}
-	existsify(c)
+	Existsify(c)
 	return c, nil
 }
 
@@ -365,9 +202,7 @@ func CountExistsCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA, src graph
 // every reached target's multiplicity becomes 1 (and saturation is
 // moot). It lets callers who already ran the counting kernel (e.g. via
 // SourceCounter) derive ShortestExists results without a second BFS.
-func Existsify(c *Counts) { existsify(c) }
-
-func existsify(c *Counts) {
+func Existsify(c *Counts) {
 	for t := range c.Mult {
 		if c.Dist[t] >= 0 {
 			c.Mult[t] = 1

@@ -11,47 +11,52 @@ import (
 	"gsqlgo/internal/graph"
 )
 
-// TestCtxVariantsMatchPlain: the ctx-accepting kernels must be
-// bit-identical to the plain ones under a live context.
+// TestCtxVariantsMatchPlain: under a live context the kernels must be
+// bit-identical to their uncancellable runs and to the reference.
 func TestCtxVariantsMatchPlain(t *testing.T) {
 	g := graph.BuildLinkGraph(300, 5, 3)
 	d := darpe.MustCompile("LinkTo>*1..4")
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	src := graph.VID(0)
 
-	want := CountASP(g, d, src)
+	want := countASPReference(g, d, src)
 	got, err := CountASPCtx(ctx, g, d, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Error("CountASPCtx diverges from CountASP")
+		t.Error("CountASPCtx diverges from countASPReference")
 	}
 
-	wantAll := CountASPAll(g, d)
-	gotAll, err := CountASPAllCtx(ctx, g, d)
+	wantAll, err := countAll(context.Background(), g, d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAll, err := countAll(ctx, g, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantAll, gotAll) {
-		t.Error("CountASPAllCtx diverges from CountASPAll")
+		t.Error("serial countAll under a live context diverges")
 	}
 
-	gotPar, err := CountASPAllParallelCtx(ctx, g, d, 4)
+	gotPar, err := countAll(ctx, g, d, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantAll, gotPar) {
-		t.Error("CountASPAllParallelCtx diverges from CountASPAll")
+		t.Error("parallel countAll under a live context diverges")
 	}
 
-	wantEx := CountExists(g, d, src)
-	gotEx, err := CountExistsCtx(ctx, g, d, src)
+	wantEx := countASPReference(g, d, src)
+	Existsify(wantEx)
+	gotEx, err := CountExists(g, d, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wantEx, gotEx) {
-		t.Error("CountExistsCtx diverges from CountExists")
+		t.Error("CountExists diverges from the existsified reference")
 	}
 }
 
@@ -66,29 +71,26 @@ func TestCtxCancelledStopsKernels(t *testing.T) {
 	if _, err := CountASPCtx(ctx, g, d, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountASPCtx err = %v, want context.Canceled", err)
 	}
-	if _, err := CountASPAllCtx(ctx, g, d); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountASPAllCtx err = %v, want context.Canceled", err)
+	if _, err := countAll(ctx, g, d, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("serial countAll err = %v, want context.Canceled", err)
 	}
-	if _, err := CountASPAllParallelCtx(ctx, g, d, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountASPAllParallelCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := CountExistsCtx(ctx, g, d, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountExistsCtx err = %v, want context.Canceled", err)
+	if _, err := countAll(ctx, g, d, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("parallel countAll err = %v, want context.Canceled", err)
 	}
 	if _, err := CountEnumCtx(ctx, g, d, 0, NonRepeatedEdge, EnumLimits{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("CountEnumCtx err = %v, want context.Canceled", err)
 	}
 }
 
-// TestCtxDeadlineMidFlight: a deadline landing mid-sweep stops the
-// all-pairs kernels promptly.
+// TestCtxDeadlineMidFlight: a deadline landing mid-sweep stops an
+// all-sources SourceCounter loop promptly.
 func TestCtxDeadlineMidFlight(t *testing.T) {
 	g := graph.BuildLinkGraph(3000, 8, 9)
 	d := darpe.MustCompile("LinkTo>*")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := CountASPAllParallelCtx(ctx, g, d, 4)
+	_, err := countAll(ctx, g, d, 4)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -28,29 +28,21 @@ func (l EnumLimits) maxSteps() uint64 {
 	return l.MaxSteps
 }
 
-// CountEnum counts satisfying legal paths from src to every target by
-// explicit enumeration under the selected semantics. It implements the
-// reference behaviour of the non-repeating flavors (exponential in the
-// worst case — this is the point of the paper's Table 1 comparison).
-// Supported semantics: NonRepeatedEdge, NonRepeatedVertex,
-// UnrestrictedBounded. Dist reports the shortest counted length per
-// target; Mult counts all legal satisfying paths (not only shortest).
-func CountEnum(g *graph.Graph, d *darpe.DFA, src graph.VID, sem Semantics, limits EnumLimits) (*Counts, error) {
-	return countEnum(g, d, src, sem, limits, nil, nil)
-}
-
-// CountEnumCtx is CountEnum under a context: the DFS polls ctx.Done()
-// on a step stride, so deadlines bound the exponential enumeration
-// baselines the same way they bound the polynomial kernel.
+// CountEnumCtx counts satisfying legal paths from src to every target
+// by explicit enumeration under the selected semantics. It implements
+// the reference behaviour of the non-repeating flavors (exponential in
+// the worst case — this is the point of the paper's Table 1
+// comparison). Supported semantics: NonRepeatedEdge,
+// NonRepeatedVertex, UnrestrictedBounded. Dist reports the shortest
+// counted length per target; Mult counts all legal satisfying paths
+// (not only shortest). The DFS polls ctx.Done() on a step stride, so
+// deadlines bound the exponential enumeration baselines the same way
+// they bound the polynomial kernel.
 func CountEnumCtx(ctx context.Context, g *graph.Graph, d *darpe.DFA, src graph.VID, sem Semantics, limits EnumLimits) (*Counts, error) {
-	return countEnum(g, d, src, sem, limits, ctx.Done(), ctx)
-}
-
-func countEnum(g *graph.Graph, d *darpe.DFA, src graph.VID, sem Semantics, limits EnumLimits, done <-chan struct{}, ctx context.Context) (*Counts, error) {
 	switch sem {
 	case NonRepeatedEdge, NonRepeatedVertex, UnrestrictedBounded:
 	default:
-		return nil, fmt.Errorf("match: CountEnum does not implement %v; use CountASP/CountExists", sem)
+		return nil, fmt.Errorf("match: CountEnumCtx does not implement %v; use CountASPCtx/CountExists", sem)
 	}
 	if sem == UnrestrictedBounded && limits.MaxLen <= 0 {
 		return nil, fmt.Errorf("match: UnrestrictedBounded requires MaxLen > 0")
@@ -63,7 +55,7 @@ func countEnum(g *graph.Graph, d *darpe.DFA, src graph.VID, sem Semantics, limit
 		res:    newCounts(g.NumVertices()),
 		budget: limits.maxSteps(),
 		maxLen: limits.MaxLen,
-		done:   done,
+		done:   ctx.Done(),
 		ctx:    ctx,
 	}
 	if sem == NonRepeatedEdge {

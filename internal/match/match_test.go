@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,9 +28,9 @@ func TestExample9LegalityFlavors(t *testing.T) {
 	d := darpe.MustCompile("E>*")
 	src, dst := vid(t, g, "V", "1"), vid(t, g, "V", "5")
 
-	dist, mult, ok := CountASPPair(g, d, src, dst)
-	if !ok || mult != 2 || dist != 4 {
-		t.Errorf("ASP: dist=%d mult=%d ok=%v, want dist=4 mult=2", dist, mult, ok)
+	dist, mult, ok, err := CountASPPair(g, d, src, dst)
+	if err != nil || !ok || mult != 2 || dist != 4 {
+		t.Errorf("ASP: dist=%d mult=%d ok=%v err=%v, want dist=4 mult=2", dist, mult, ok, err)
 	}
 	nre, err := CountEnumPair(g, d, src, dst, NonRepeatedEdge, EnumLimits{})
 	if err != nil || nre != 4 {
@@ -39,7 +40,10 @@ func TestExample9LegalityFlavors(t *testing.T) {
 	if err != nil || nrv != 3 {
 		t.Errorf("NRV: mult=%d err=%v, want 3", nrv, err)
 	}
-	ex := CountExists(g, d, src)
+	ex, err := CountExists(g, d, src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ex.Mult[dst] != 1 {
 		t.Errorf("Exists: mult=%d, want 1", ex.Mult[dst])
 	}
@@ -54,9 +58,9 @@ func TestExample10ShortestBeyondNonRepeating(t *testing.T) {
 	d := darpe.MustCompile("E>*.F>.E>*")
 	src, dst := vid(t, g, "V", "1"), vid(t, g, "V", "4")
 
-	dist, mult, ok := CountASPPair(g, d, src, dst)
-	if !ok || mult != 1 || dist != 7 {
-		t.Errorf("ASP: dist=%d mult=%d ok=%v, want dist=7 mult=1", dist, mult, ok)
+	dist, mult, ok, err := CountASPPair(g, d, src, dst)
+	if err != nil || !ok || mult != 1 || dist != 7 {
+		t.Errorf("ASP: dist=%d mult=%d ok=%v err=%v, want dist=7 mult=1", dist, mult, ok, err)
 	}
 	if n, err := CountEnumPair(g, d, src, dst, NonRepeatedEdge, EnumLimits{}); err != nil || n != 0 {
 		t.Errorf("NRE: %d %v, want 0", n, err)
@@ -76,9 +80,9 @@ func TestFixedUniqueLengthCycle(t *testing.T) {
 	d := darpe.MustCompile("A>.(B>|D>)._>.A>")
 	v, u := vid(t, g, "V", "v"), vid(t, g, "V", "u")
 
-	dist, mult, ok := CountASPPair(g, d, v, u)
-	if !ok || dist != 4 || mult != 1 {
-		t.Errorf("ASP: dist=%d mult=%d ok=%v, want dist=4 mult=1", dist, mult, ok)
+	dist, mult, ok, err := CountASPPair(g, d, v, u)
+	if err != nil || !ok || dist != 4 || mult != 1 {
+		t.Errorf("ASP: dist=%d mult=%d ok=%v err=%v, want dist=4 mult=1", dist, mult, ok, err)
 	}
 	if n, _ := CountEnumPair(g, d, v, u, NonRepeatedEdge, EnumLimits{}); n != 0 {
 		t.Errorf("NRE found %d matches, want 0", n)
@@ -103,7 +107,7 @@ func TestDiamondChainCounts(t *testing.T) {
 	g := graph.BuildDiamondChain(12)
 	d := darpe.MustCompile("E>*")
 	v0 := vid(t, g, "V", "v0")
-	c := CountASP(g, d, v0)
+	c := countASP(t, g, d, v0)
 	for k := 1; k <= 12; k++ {
 		vk := vid(t, g, "V", "v"+itoa(k))
 		want := uint64(1) << uint(k)
@@ -146,9 +150,9 @@ func TestEmptyPathMatchesKleene(t *testing.T) {
 	g := graph.BuildDiamondChain(2)
 	d := darpe.MustCompile("E>*")
 	v0 := vid(t, g, "V", "v0")
-	dist, mult, ok := CountASPPair(g, d, v0, v0)
-	if !ok || dist != 0 || mult != 1 {
-		t.Errorf("empty path: dist=%d mult=%d ok=%v, want 0/1/true", dist, mult, ok)
+	dist, mult, ok, err := CountASPPair(g, d, v0, v0)
+	if err != nil || !ok || dist != 0 || mult != 1 {
+		t.Errorf("empty path: dist=%d mult=%d ok=%v err=%v, want 0/1/true", dist, mult, ok, err)
 	}
 }
 
@@ -173,7 +177,7 @@ func TestUndirectedTraversal(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := darpe.MustCompile("K*1..2")
-	cnt := CountASP(g, d, a)
+	cnt := countASP(t, g, d, a)
 	if cnt.Dist[b] != 1 || cnt.Mult[b] != 1 {
 		t.Errorf("a~b: dist=%d mult=%d", cnt.Dist[b], cnt.Mult[b])
 	}
@@ -182,7 +186,7 @@ func TestUndirectedTraversal(t *testing.T) {
 	}
 	// Directed adornments never match undirected edges.
 	dd := darpe.MustCompile("K>")
-	cnt = CountASP(g, dd, a)
+	cnt = countASP(t, g, dd, a)
 	if cnt.HasPath(b) {
 		t.Error("K> must not match an undirected K edge")
 	}
@@ -205,9 +209,9 @@ func TestParallelEdgesCountSeparately(t *testing.T) {
 		}
 	}
 	d := darpe.MustCompile("E>")
-	_, mult, ok := CountASPPair(g, d, a, b)
-	if !ok || mult != 3 {
-		t.Errorf("parallel edges: mult=%d ok=%v, want 3", mult, ok)
+	_, mult, ok, err := CountASPPair(g, d, a, b)
+	if err != nil || !ok || mult != 3 {
+		t.Errorf("parallel edges: mult=%d ok=%v err=%v, want 3", mult, ok, err)
 	}
 	if n, err := CountEnumPair(g, d, a, b, NonRepeatedEdge, EnumLimits{}); err != nil || n != 3 {
 		t.Errorf("NRE parallel: %d %v", n, err)
@@ -218,7 +222,7 @@ func TestSaturation(t *testing.T) {
 	g := graph.BuildDiamondChain(70) // 2^70 shortest paths > MaxUint64
 	d := darpe.MustCompile("E>*")
 	v0, _ := g.VertexByKey("V", "v0")
-	c := CountASP(g, d, v0)
+	c := countASP(t, g, d, v0)
 	if !c.Saturated {
 		t.Error("counting 2^70 paths must saturate")
 	}
@@ -232,7 +236,7 @@ func TestEnumBudget(t *testing.T) {
 	g := graph.BuildDiamondChain(25)
 	d := darpe.MustCompile("E>*")
 	v0, _ := g.VertexByKey("V", "v0")
-	if _, err := CountEnum(g, d, v0, NonRepeatedEdge, EnumLimits{MaxSteps: 1000}); err != ErrBudget {
+	if _, err := CountEnumCtx(context.Background(), g, d, v0, NonRepeatedEdge, EnumLimits{MaxSteps: 1000}); err != ErrBudget {
 		t.Errorf("tiny budget must yield ErrBudget, got %v", err)
 	}
 	v25, _ := g.VertexByKey("V", "v25")
@@ -244,20 +248,25 @@ func TestEnumBudget(t *testing.T) {
 func TestCountEnumRejectsWrongSemantics(t *testing.T) {
 	g := graph.BuildDiamondChain(1)
 	d := darpe.MustCompile("E>*")
-	if _, err := CountEnum(g, d, 0, AllShortestPaths, EnumLimits{}); err == nil {
-		t.Error("CountEnum must reject AllShortestPaths")
+	if _, err := CountEnumCtx(context.Background(), g, d, 0, AllShortestPaths, EnumLimits{}); err == nil {
+		t.Error("CountEnumCtx must reject AllShortestPaths")
 	}
-	if _, err := CountEnum(g, d, 0, UnrestrictedBounded, EnumLimits{}); err == nil {
+	if _, err := CountEnumCtx(context.Background(), g, d, 0, UnrestrictedBounded, EnumLimits{}); err == nil {
 		t.Error("UnrestrictedBounded without MaxLen must error")
 	}
 }
 
+// TestCountASPAll runs the all-paths flavor — one SourceCounter run
+// per source, reusing one scratch — and checks an exact count.
 func TestCountASPAll(t *testing.T) {
 	g := graph.BuildDiamondChain(3)
 	d := darpe.MustCompile("E>*")
-	all := CountASPAll(g, d)
+	all, err := countAll(context.Background(), g, d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) != g.NumVertices() {
-		t.Fatalf("CountASPAll size %d", len(all))
+		t.Fatalf("countAll size %d", len(all))
 	}
 	v0, _ := g.VertexByKey("V", "v0")
 	v3, _ := g.VertexByKey("V", "v3")
@@ -268,7 +277,7 @@ func TestCountASPAll(t *testing.T) {
 
 // bruteCountByLength counts satisfying walks from src grouped by
 // (target, length) via naive DFS up to maxLen — an independent oracle
-// for CountASP on small graphs.
+// for CountASPCtx on small graphs.
 func bruteCountByLength(g *graph.Graph, d *darpe.DFA, src graph.VID, maxLen int) map[graph.VID]map[int]uint64 {
 	res := make(map[graph.VID]map[int]uint64)
 	types := make(map[int16]int)
@@ -311,16 +320,12 @@ func bruteCountByLength(g *graph.Graph, d *darpe.DFA, src graph.VID, maxLen int)
 // counter against naive walk enumeration on random mixed graphs and
 // random patterns (Theorem 6.1 correctness).
 func TestCountASPAgainstBruteForce(t *testing.T) {
-	patterns := []string{
-		"D1>", "D1>.D2>", "D1>*", "(D1>|D2>)*", "U*", "(D1>|U)*",
-		"D1>*1..3", "<D1.D2>", "(D1>.D2>)*", "_*1..4", "D1>.(U|<D2)*",
-	}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.BuildRandomMixedGraph(2+r.Intn(6), 1+r.Intn(12), seed)
-		d := darpe.MustCompile(patterns[r.Intn(len(patterns))])
+		d := darpe.MustCompile(mixedPatterns[r.Intn(len(mixedPatterns))])
 		src := graph.VID(r.Intn(g.NumVertices()))
-		got := CountASP(g, d, src)
+		got := countASP(t, g, d, src)
 		maxLen := 6
 		oracle := bruteCountByLength(g, d, src, maxLen)
 		for v := 0; v < g.NumVertices(); v++ {
@@ -368,7 +373,11 @@ func TestMaterializedAgainstCounting(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		cd, cm, cok := CountASPPair(g, d, src, dst)
+		cd, cm, cok, err := CountASPPair(g, d, src, dst)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		md, mm, err := CountASPMaterializedPair(g, d, src, dst, EnumLimits{MaxSteps: 200_000})
 		if err != nil {
 			return true // budget; irrelevant for tiny graphs but be safe
@@ -403,12 +412,21 @@ func TestSemanticsString(t *testing.T) {
 	}
 }
 
+// TestCountASPAllParallelAgreesWithSequential spreads the all-paths
+// flavor over several SourceCounters (one per worker) and checks it
+// against the reference kernel run from every source.
 func TestCountASPAllParallelAgreesWithSequential(t *testing.T) {
 	g := graph.BuildDiamondChain(8)
 	d := darpe.MustCompile("E>*")
-	seq := CountASPAll(g, d)
+	seq := make([]*Counts, g.NumVertices())
+	for v := range seq {
+		seq[v] = countASPReference(g, d, graph.VID(v))
+	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		par := CountASPAllParallel(g, d, workers)
+		par, err := countAll(context.Background(), g, d, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(par) != len(seq) {
 			t.Fatalf("workers=%d: length %d", workers, len(par))
 		}

@@ -510,8 +510,8 @@ type errorResponse struct {
 
 // httpStatus maps the core error taxonomy onto HTTP statuses:
 // ErrParse 400, ErrUnknownQuery 404, ErrDuplicateQuery and
-// ErrDuplicateKey 409, ErrCancelled 408, ErrOverload 429; anything
-// else is a 500.
+// ErrDuplicateKey 409, ErrCancelled 408, ErrResourceLimit 422,
+// ErrOverload 429; anything else is a 500.
 func httpStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, core.ErrParse):
@@ -524,6 +524,8 @@ func httpStatus(err error) (int, string) {
 		return http.StatusConflict, "duplicate_key"
 	case errors.Is(err, core.ErrCancelled):
 		return http.StatusRequestTimeout, "cancelled"
+	case errors.Is(err, core.ErrResourceLimit):
+		return http.StatusUnprocessableEntity, "resource_limit"
 	case errors.Is(err, core.ErrOverload):
 		return http.StatusTooManyRequests, "overload"
 	case errors.Is(err, replication.ErrReadOnly):

@@ -13,6 +13,7 @@ import (
 
 	"gsqlgo/internal/core"
 	"gsqlgo/internal/graph"
+	"gsqlgo/internal/match"
 )
 
 const topKToysSrc = `
@@ -475,5 +476,21 @@ func TestServerAccumCompileMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestResourceLimitIs422: a run refused by an engine resource limit,
+// wrapped the way a counted hop wraps the SDMC kernel's product-size
+// error, answers 422 with the resource_limit code.
+func TestResourceLimitIs422(t *testing.T) {
+	err := fmt.Errorf("pattern -(E>*)-: %w: %w", core.ErrResourceLimit, match.ErrProductTooLarge)
+	w := httptest.NewRecorder()
+	writeError(w, fmt.Errorf("run Q: %w", err))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422", w.Code)
+	}
+	body := decode[errorResponse](t, w)
+	if body.Code != "resource_limit" || !strings.Contains(body.Error, "E>*") {
+		t.Errorf("body = %+v, want code resource_limit naming the pattern", body)
 	}
 }

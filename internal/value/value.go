@@ -363,19 +363,11 @@ func Compare(a, b Value) int {
 	switch a.kind {
 	case KindNull:
 		return 0
-	case KindBool, KindInt, KindDatetime, KindVertex, KindEdge:
+	case KindBool, KindDatetime, KindVertex, KindEdge:
 		switch {
 		case a.i() < b.i():
 			return -1
 		case a.i() > b.i():
-			return 1
-		}
-		return 0
-	case KindFloat:
-		switch {
-		case a.f() < b.f():
-			return -1
-		case a.f() > b.f():
 			return 1
 		}
 		return 0
