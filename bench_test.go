@@ -23,9 +23,14 @@ package gsqlgo
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,7 +39,9 @@ import (
 	"gsqlgo/internal/darpe"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/ldbc"
+	"gsqlgo/internal/load"
 	"gsqlgo/internal/match"
+	"gsqlgo/internal/server"
 	"gsqlgo/internal/value"
 )
 
@@ -227,6 +234,76 @@ func BenchmarkPageRank(b *testing.B) {
 		if _, err := e.Run("PageRank", args); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPathsAll times one run of the benchmark's PathsAll
+// (benchmark/pathsall.gsql: all-pairs shortest-path counting over
+// Knows, one SDMC run per Person) on SF 0.3 and two workers, with the
+// count cache off as on the analytic workload's cold cache.
+func BenchmarkPathsAll(b *testing.B) {
+	src, err := os.ReadFile("benchmark/pathsall.gsql")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ldbc.Generate(ldbc.Config{SF: 0.3, Seed: 7})
+	e := core.New(g, core.Options{Workers: 2, CountCacheSize: -1})
+	if err := e.Install(string(src)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run("PathsAll", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkICReads times one IC read as the ic-read workload issues
+// it: the five IC queries at h = 2 on SF 0.3 and two workers, cycling
+// over load.NewWorkload's read stream, each request a JSON run body
+// served in-process by the server's handler (parameter decode, run,
+// render). Every request is sent once before timing, so the count
+// cache is warm.
+func BenchmarkICReads(b *testing.B) {
+	const hops, nReads = 2, 1500
+	cfg := ldbc.Config{SF: 0.3, Seed: 7}
+	e := core.New(ldbc.Generate(cfg), core.Options{Workers: 2})
+	w, err := load.NewWorkload(cfg, 7, hops, nil, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, src := range w.InstallSources() {
+		if err := e.Install(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := server.New(server.Config{Engine: e, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	type read struct{ path, body string }
+	reads := make([]read, nReads)
+	for i := range reads {
+		name, params := w.Read(uint64(i))
+		body, err := json.Marshal(map[string]any{"params": params})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reads[i] = read{"/queries/" + name + "/run", string(body)}
+	}
+	serve := func(r read) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", r.path, strings.NewReader(r.body)))
+		if rec.Code != 200 {
+			b.Fatalf("%s: %d %s", r.path, rec.Code, rec.Body)
+		}
+	}
+	for _, r := range reads {
+		serve(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(reads[i%nReads])
 	}
 }
 

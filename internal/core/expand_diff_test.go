@@ -13,10 +13,10 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// diffQueries exercises every expansion shape the sharded pipeline
+// diffQueries exercises every expansion shape the two-pass builder
 // must reproduce bit-identically: single hops (with edge aliases),
 // counted hops under several DARPEs, cycle-closing rebinds of both hop
-// kinds, and a mixed chain.
+// kinds, mixed chains, and each side of the compress() decision.
 var diffQueries = []string{
 	// Single-hop chain with an edge alias.
 	`CREATE QUERY Q() {
@@ -54,21 +54,57 @@ var diffQueries = []string{
 	  R = SELECT s FROM V:s -(U)- V:m -(U)- V:s ACCUM s.@n += 1;
 	  PRINT R[R.name, R.@n];
 	}`,
+	// Single hop without an edge alias before a counted hop: parallel
+	// D1 edges repeat (s, m) rows, so compress() must still run, merge
+	// them and sum μ.
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(D1>)- V:m -((U|D2>)*1..2)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	// The same hop binding its edge: rows stay distinct, compress() is
+	// skipped.
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(D1>:e)- V:m -((U|D2>)*1..2)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	// The wildcard binding its edge: it could meet a directed self-loop
+	// from both ends, so compress() runs.
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(_:e)- V:m -(D1>*)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	// A counted hop after a counted hop.
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(D1>*1..2)- V:m -(U*)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	// A counted hop seeded from a SELECT-produced vertex set.
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  S = SELECT m FROM V:s -(D2>)- V:m;
+	  R = SELECT t FROM S:s -((D1>|U)*)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
 }
 
-// firstFrom digs the FROM clause out of an installed query's first
-// SELECT assignment (the shape every diffQueries entry has).
-func firstFrom(t *testing.T, q *gsql.Query) []gsql.PathPattern {
+// lastSelect digs the FROM clause out of an installed query's last
+// SELECT assignment (the shape every diffQueries entry ends in) and
+// returns the statements before it, which set up its vertex sets.
+func lastSelect(t *testing.T, q *gsql.Query) ([]gsql.Stmt, []gsql.PathPattern) {
 	t.Helper()
-	for _, s := range q.Stmts {
-		if a, ok := s.(*gsql.AssignStmt); ok {
+	for i := len(q.Stmts) - 1; i >= 0; i-- {
+		if a, ok := q.Stmts[i].(*gsql.AssignStmt); ok {
 			if sel, ok := a.Rhs.(*gsql.SelectExpr); ok {
-				return sel.From
+				return q.Stmts[:i], sel.From
 			}
 		}
 	}
 	t.Fatal("query has no SELECT assignment")
-	return nil
+	return nil, nil
 }
 
 // bindingSig flattens a binding table — aliases, then every row's
@@ -94,7 +130,7 @@ func resultSig(res *Result) string {
 
 // expandOutcome captures everything the differential test compares for
 // one (graph, query, worker count): the raw binding table built by the
-// FROM clause and the full query output.
+// last SELECT's FROM clause and the full query output.
 func expandOutcome(t *testing.T, g *graph.Graph, qsrc string, workers int) (string, string) {
 	t.Helper()
 	e := New(g, Options{Workers: workers, CountCacheSize: -1, MinParallelRows: 1})
@@ -106,7 +142,11 @@ func expandOutcome(t *testing.T, g *graph.Graph, qsrc string, workers int) (stri
 	if err != nil {
 		t.Fatalf("runState: %v", err)
 	}
-	bt, err := rs.buildBindings(firstFrom(t, q), nil)
+	prefix, from := lastSelect(t, q)
+	if _, err := rs.execStmts(prefix); err != nil {
+		t.Fatalf("statements before the SELECT (workers=%d): %v", workers, err)
+	}
+	bt, err := rs.buildBindings(from, nil)
 	if err != nil {
 		t.Fatalf("buildBindings (workers=%d): %v", workers, err)
 	}
@@ -117,29 +157,64 @@ func expandOutcome(t *testing.T, g *graph.Graph, qsrc string, workers int) (stri
 	return bindingSig(bt), resultSig(res)
 }
 
+// refOutcome is expandOutcome under the reference expansion.
+func refOutcome(t *testing.T, g *graph.Graph, qsrc string) (bt, res string) {
+	t.Helper()
+	withRefExpansion(t, func() { bt, res = expandOutcome(t, g, qsrc, 1) })
+	return bt, res
+}
+
+// checkAgainstRef compares the two-pass builder at Workers 1, 2 and 8
+// with the reference expansion: binding tables (rows, order,
+// multiplicities) and query outputs must be byte-identical.
+func checkAgainstRef(t *testing.T, what string, g *graph.Graph, qsrc string) {
+	t.Helper()
+	refBT, refRes := refOutcome(t, g, qsrc)
+	for _, w := range []int{1, 2, 8} {
+		gotBT, gotRes := expandOutcome(t, g, qsrc, w)
+		if gotBT != refBT {
+			t.Fatalf("%s workers %d: binding table diverged\nreference:\n%s\ngot:\n%s", what, w, refBT, gotBT)
+		}
+		if gotRes != refRes {
+			t.Fatalf("%s workers %d: query output diverged\nreference:\n%s\ngot:\n%s", what, w, refRes, gotRes)
+		}
+	}
+}
+
 // TestParallelExpansionBitIdentical is the core contract of the
-// sharded pipeline: over ~50 random mixed graphs, the binding tables
-// (rows, order, multiplicities) and query outputs at Workers 2 and 8
-// must be byte-identical to the serial (Workers 1) ones.
+// two-pass hop builder: over 50 random mixed graphs (which carry
+// parallel edges) and every diffQueries shape, the binding tables and
+// query outputs at Workers 1, 2 and 8 must be byte-identical to the
+// row-by-row reference expansion with its always-on compress().
 // MinParallelRows is forced to 1 so even tiny tables take the parallel
 // path.
 func TestParallelExpansionBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := graph.BuildRandomMixedGraph(2+r.Intn(8), 1+r.Intn(16), seed)
-		qsrc := diffQueries[int(seed)%len(diffQueries)]
-		refBT, refRes := expandOutcome(t, g, qsrc, 1)
-		for _, w := range []int{2, 8} {
-			gotBT, gotRes := expandOutcome(t, g, qsrc, w)
-			if gotBT != refBT {
-				t.Fatalf("seed %d workers %d: binding table diverged\nserial:\n%s\nparallel:\n%s",
-					seed, w, refBT, gotBT)
-			}
-			if gotRes != refRes {
-				t.Fatalf("seed %d workers %d: query output diverged\nserial:\n%s\nparallel:\n%s",
-					seed, w, refRes, gotRes)
+		for qi, qsrc := range diffQueries {
+			checkAgainstRef(t, fmt.Sprintf("seed %d query %d", seed, qi), g, qsrc)
+		}
+	}
+}
+
+// TestSelfLoopWildcardCompress covers the one edge-binding single hop
+// that can repeat a row: the wildcard reaches a directed self-loop
+// through both of its half-edges, binding the same (v, e, v) twice, so
+// the counted hop after it must still compress.
+func TestSelfLoopWildcardCompress(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		g := graph.BuildRandomMixedGraph(5, 10, seed)
+		for v := graph.VID(0); v < 5; v += 2 {
+			if _, err := g.AddEdge("D1", v, v, nil); err != nil {
+				t.Fatal(err)
 			}
 		}
+		checkAgainstRef(t, fmt.Sprintf("seed %d", seed), g, `CREATE QUERY Q() {
+		  SumAccum<int> @n;
+		  R = SELECT t FROM V:s -(_:e)- V:m -(D1>*)- V:t ACCUM t.@n += 1;
+		  PRINT R[R.name, R.@n];
+		}`)
 	}
 }
 
@@ -168,16 +243,17 @@ func TestParallelExpansionCancellation(t *testing.T) {
 			}
 			rs.ctx = ctx
 			rs.done = ctx.Done()
-			if _, err := rs.buildBindings(firstFrom(t, q), nil); !errors.Is(err, ErrCancelled) {
+			_, from := lastSelect(t, q)
+			if _, err := rs.buildBindings(from, nil); !errors.Is(err, ErrCancelled) {
 				t.Errorf("%s hop, workers %d: want ErrCancelled, got %v", kind, w, err)
 			}
 		}
 	}
 }
 
-// TestParallelExpansionSemanticsFlavors re-checks bit-identity for the
-// non-default legality flavors, whose counted hops run through the
-// enumeration path of countSources.
+// TestParallelExpansionSemanticsFlavors re-checks bit-identity against
+// the reference expansion for the non-default legality flavors, whose
+// counted hops run through the enumeration path of countSources.
 func TestParallelExpansionSemanticsFlavors(t *testing.T) {
 	const qsrc = `CREATE QUERY Q() {
 	  SumAccum<int> @n;
@@ -189,11 +265,7 @@ func TestParallelExpansionSemanticsFlavors(t *testing.T) {
 		for _, sem := range []string{"nre", "nrv", "exists"} {
 			src := strings.Replace(qsrc, "CREATE QUERY Q() {",
 				"CREATE QUERY Q() SEMANTICS "+sem+" {", 1)
-			refBT, refRes := expandOutcome(t, g, src, 1)
-			gotBT, gotRes := expandOutcome(t, g, src, 8)
-			if gotBT != refBT || gotRes != refRes {
-				t.Fatalf("seed %d semantics %s: parallel diverged from serial", seed, sem)
-			}
+			checkAgainstRef(t, fmt.Sprintf("seed %d semantics %s", seed, sem), g, src)
 		}
 	}
 }

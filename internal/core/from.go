@@ -338,10 +338,16 @@ func (rs *runState) evalPath(pat *gsql.PathPattern, sp *trace.Span) (*bindingTab
 		return nil, err
 	}
 	curCol := bt.addVertAlias(pat.Src.Alias)
-	bt.rows = make([]bindingRow, 0, len(seeds))
-	for _, s := range seeds {
-		bt.rows = append(bt.rows, bindingRow{verts: []graph.VID{s}, mult: 1})
+	bt.rows = make([]bindingRow, len(seeds))
+	seedArena := make([]graph.VID, len(seeds))
+	copy(seedArena, seeds)
+	for i := range seeds {
+		bt.rows[i] = bindingRow{verts: seedArena[i : i+1 : i+1], mult: 1}
 	}
+	// distinct says no two rows can carry the same bindings, so a
+	// counted hop's compress() would merge nothing. Seeds are distinct:
+	// every vertex set is.
+	distinct := true
 	for hi := range pat.Hops {
 		hop := &pat.Hops[hi]
 		hsp := sp.Start("hop")
@@ -361,10 +367,13 @@ func (rs *runState) evalPath(pat *gsql.PathPattern, sp *trace.Span) (*bindingTab
 		}
 		sym, isSingle := hop.Darpe.(*darpe.Symbol)
 		var next []bindingRow
-		if isSingle {
+		switch {
+		case expandHopRef != nil:
+			next, err = expandHopRef(rs, bt, hop, curCol, boundCol, rebind, filter)
+		case isSingle:
 			hsp.SetStr("kind", "adjacency")
 			next, err = rs.expandSingleHop(bt, hop, sym, curCol, boundCol, rebind, filter, hsp)
-		} else {
+		default:
 			hsp.SetStr("kind", "counted")
 			next, err = rs.expandCountedHop(bt, hop, curCol, boundCol, rebind, filter, hsp)
 		}
@@ -378,9 +387,19 @@ func (rs *runState) evalPath(pat *gsql.PathPattern, sp *trace.Span) (*bindingTab
 		} else {
 			curCol = newCol
 		}
-		if !isSingle {
+		// A counted hop binds each (row, target) once, so it keeps a
+		// distinct table distinct. A single hop does only when it binds
+		// the edge: parallel edges repeat a row otherwise, and the
+		// wildcard meets a directed self-loop from both ends.
+		compressed := "skipped"
+		if isSingle {
+			distinct = distinct && hop.EdgeAlias != "" && sym.Dir != darpe.AdornAny
+		} else if !distinct {
 			bt.compress()
+			distinct = true
+			compressed = "ran"
 		}
+		hsp.SetStr("compress", compressed)
 		hsp.SetInt("rows_out", int64(len(bt.rows)))
 		hsp.End()
 	}
@@ -388,8 +407,8 @@ func (rs *runState) evalPath(pat *gsql.PathPattern, sp *trace.Span) (*bindingTab
 }
 
 // defaultMinParallelRows is the binding-row count below which hop
-// expansion stays serial — goroutine spawn and shard concatenation
-// cost more than the work they would split.
+// expansion stays serial — spawning the scan and fill goroutines costs
+// more than the work they would split.
 const defaultMinParallelRows = 32
 
 // expandWorkers decides how many contiguous shards an nRows-row hop
@@ -414,52 +433,146 @@ func (rs *runState) expandWorkers(nRows int) int {
 	return w
 }
 
-// shardRows fans an expansion over contiguous row shards and
-// concatenates the per-shard outputs in shard order, which is exactly
-// the serial row order — binding tables come out bit-identical to the
-// single-worker path. fn owns rows [lo, hi) and keeps its own
-// cancellation stride. On failure the error reported is the first
-// failing shard's in shard order, the one the serial loop would have
-// hit first.
-func shardRows(nRows, workers int, fn func(lo, hi int) ([]bindingRow, error)) ([]bindingRow, error) {
+// expandHopRef, when set, replaces both hop kinds' expansion with the
+// row-by-row reference expansion of expand_ref_test.go, the oracle the
+// two-pass builder is tested against. Nil outside tests.
+var expandHopRef func(rs *runState, bt *bindingTable, hop *gsql.Hop, curCol, boundCol int, rebind bool, filter targetFilter) ([]bindingRow, error)
+
+// hit is one output row found by a hop's scan pass: the input row it
+// extends, the vertex it binds, and x — the edge id for a single hop,
+// the index into the hop's reach list for a counted hop. 12 bytes.
+type hit struct {
+	row int32
+	to  graph.VID
+	x   uint32
+}
+
+// maxPooledHits caps the hit buffers hitPool keeps (768 KiB): a buffer
+// one huge hop grew past it goes to the GC instead of staying pinned.
+const maxPooledHits = 1 << 16
+
+var hitPool = sync.Pool{New: func() any { return new([]hit) }}
+
+// forShards runs fn over workers contiguous shards of [0, n)
+// (w·n/workers boundaries), in parallel when there is more than one.
+func forShards(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 {
-		return fn(0, nRows)
+		fn(0, 0, n)
+		return
 	}
-	outs := make([][]bindingRow, workers)
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*nRows/workers, (w+1)*nRows/workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			outs[w], errs[w] = fn(lo, hi)
-		}(w, lo, hi)
+			fn(w, w*n/workers, (w+1)*n/workers)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+}
+
+// hopLayout says how the fill pass turns a hit into a row.
+type hopLayout struct {
+	rebind bool     // reuse the input row's verts (the target is bound)
+	edge   bool     // append the hit's x as a new edge binding
+	mults  []uint64 // counted hop: μ factor per reach index x; nil keeps row.mult
+}
+
+// buildHopRows is the two-pass builder behind both hop kinds. Pass 1
+// shards rows over the workers; scan walks rows [lo, hi) once, appends
+// one hit per output row to a pooled buffer and keeps its own
+// cancellation stride. Pass 2 allocates the table once at Σhits rows,
+// with one verts arena (and one edges arena when the hop binds an edge
+// alias), and each shard fills its own range. Row slices are 3-index
+// subslices of the arenas, so no row can grow into its neighbour. Shard
+// ranges follow shard order, so the table is bit-identical to the
+// serial pass at any worker count; on failure the error is the first
+// failing shard's, the one the serial loop would have hit first.
+func (rs *runState) buildHopRows(rows []bindingRow, lay hopLayout, hsp *trace.Span, scan func(lo, hi int, hits *[]hit) error) ([]bindingRow, error) {
+	workers := rs.expandWorkers(len(rows))
+	rs.res.Stats.ExpandShards += int64(workers)
+	hsp.SetInt("shards", int64(workers))
+	// Shard w's hits become output rows [off, off+len(hits)).
+	type shard struct {
+		hits *[]hit
+		err  error
+		off  int
+	}
+	shards := make([]shard, workers)
+	for w := range shards {
+		shards[w].hits = hitPool.Get().(*[]hit)
+	}
+	defer func() {
+		for _, sh := range shards {
+			if cap(*sh.hits) <= maxPooledHits {
+				*sh.hits = (*sh.hits)[:0]
+				hitPool.Put(sh.hits)
+			}
+		}
+	}()
+	forShards(len(rows), workers, func(w, lo, hi int) {
+		shards[w].err = scan(lo, hi, shards[w].hits)
+	})
+	total := 0
+	for w := range shards {
+		if err := shards[w].err; err != nil {
 			return nil, err
 		}
+		shards[w].off = total
+		total += len(*shards[w].hits)
 	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
+	if total == 0 {
+		return nil, nil
 	}
-	next := make([]bindingRow, 0, total)
-	for _, o := range outs {
-		next = append(next, o...)
+	out := make([]bindingRow, total)
+	var vs, es int
+	var verts []graph.VID
+	var edges []graph.EID
+	if !lay.rebind {
+		vs = len(rows[0].verts) + 1
+		verts = make([]graph.VID, total*vs)
 	}
-	return next, nil
+	if lay.edge {
+		es = len(rows[0].edges) + 1
+		edges = make([]graph.EID, total*es)
+	}
+	forShards(workers, workers, func(w, _, _ int) {
+		o := shards[w].off
+		for _, h := range *shards[w].hits {
+			row := &rows[h.row]
+			nr := &out[o]
+			nr.mult = row.mult
+			if lay.mults != nil {
+				nr.mult = satMul(row.mult, lay.mults[h.x])
+			}
+			if lay.rebind {
+				nr.verts = row.verts
+			} else {
+				v := verts[o*vs : (o+1)*vs : (o+1)*vs]
+				copy(v, row.verts)
+				v[vs-1] = h.to
+				nr.verts = v
+			}
+			if lay.edge {
+				e := edges[o*es : (o+1)*es : (o+1)*es]
+				copy(e, row.edges)
+				e[es-1] = graph.EID(h.x)
+				nr.edges = e
+			} else {
+				nr.edges = row.edges
+			}
+			o++
+		}
+	})
+	return out, nil
 }
 
 // expandSingleHop binds one edge traversal by adjacency expansion,
 // sharded over binding rows across the engine's workers.
 func (rs *runState) expandSingleHop(bt *bindingTable, hop *gsql.Hop, sym *darpe.Symbol, curCol, boundCol int, rebind bool, filter targetFilter, hsp *trace.Span) ([]bindingRow, error) {
 	g := rs.g
-	var edgeCol = -1
 	if hop.EdgeAlias != "" {
-		edgeCol = bt.addEdgeAlias(hop.EdgeAlias)
+		bt.addEdgeAlias(hop.EdgeAlias)
 	}
 	var typeID = -1
 	if sym.EdgeType != "" {
@@ -470,20 +583,18 @@ func (rs *runState) expandSingleHop(bt *bindingTable, hop *gsql.Hop, sym *darpe.
 		typeID = et.ID
 	}
 	rows := bt.rows
-	workers := rs.expandWorkers(len(rows))
-	rs.res.Stats.ExpandShards += int64(workers)
-	hsp.SetInt("shards", int64(workers))
-	return shardRows(len(rows), workers, func(lo, hi int) ([]bindingRow, error) {
-		next := make([]bindingRow, 0, hi-lo) // ≥1 expansion per row is the common case
+	lay := hopLayout{rebind: rebind, edge: hop.EdgeAlias != ""}
+	return rs.buildHopRows(rows, lay, hsp, func(lo, hi int, hits *[]hit) error {
+		hs := *hits
 		for ri := lo; ri < hi; ri++ {
 			if (ri-lo)&4095 == 0 {
 				if err := rs.checkCancel(); err != nil {
-					return nil, err
+					*hits = hs
+					return err
 				}
 			}
-			row := rows[ri]
-			v := row.verts[curCol]
-			for _, h := range g.Neighbors(v) {
+			row := &rows[ri]
+			for _, h := range g.Neighbors(row.verts[curCol]) {
 				if typeID >= 0 && int(h.Type) != typeID {
 					continue
 				}
@@ -496,21 +607,11 @@ func (rs *runState) expandSingleHop(bt *bindingTable, hop *gsql.Hop, sym *darpe.
 				if rebind && row.verts[boundCol] != h.To {
 					continue
 				}
-				nr := bindingRow{mult: row.mult}
-				if rebind {
-					nr.verts = row.verts
-				} else {
-					nr.verts = append(append(make([]graph.VID, 0, len(row.verts)+1), row.verts...), h.To)
-				}
-				if edgeCol >= 0 {
-					nr.edges = append(append(make([]graph.EID, 0, len(row.edges)+1), row.edges...), h.Edge)
-				} else {
-					nr.edges = row.edges
-				}
-				next = append(next, nr)
+				hs = append(hs, hit{row: int32(ri), to: h.To, x: uint32(h.Edge)})
 			}
 		}
-		return next, nil
+		*hits = hs
+		return nil
 	})
 }
 
@@ -527,48 +628,95 @@ func adornMatches(a darpe.Adorn, d graph.Dir) bool {
 	}
 }
 
-// reach is the per-source result of a counted hop after target
-// filtering: the targets the hop can bind (ascending VID) and the
-// path multiplicity toward each.
-type reach struct {
-	targets []graph.VID
-	mults   []uint64
-}
-
 // expandCountedHop evaluates a multi-edge DARPE hop. Under
 // all-shortest-paths semantics it never materializes paths: it
 // multiplies binding multiplicities by the SDMC counts of Theorem 6.1.
 // Under the enumeration semantics it counts legal paths explicitly
 // (exponential — the baselines of Section 7.1).
 //
-// The hop runs in phases: collect the distinct source vertices (first-
-// appearance row order), resolve their Counts — engine cache first,
-// then the misses in parallel across workers — build per-source reach
-// lists from the sparse Counts.Reached, and finally do the cheap
-// sharded row-expansion pass.
+// The hop runs in phases: resolve every distinct source's Counts
+// (resolveCounts), flatten the filtered targets of all sources into one
+// reach list, and build the rows in two passes like a single hop.
 func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, boundCol int, rebind bool, filter targetFilter, hsp *trace.Span) ([]bindingRow, error) {
+	rows := bt.rows
+	rowSrc, counts, err := rs.resolveCounts(hop, rows, curCol, hsp)
+	if err != nil {
+		return nil, err
+	}
+
+	// One reach list for all sources, sized once: source i's filtered
+	// targets (ascending VID, as Reached is) and their path
+	// multiplicities sit at [off[i], off[i+1]).
+	n := 0
+	for _, c := range counts {
+		n += len(c.Reached)
+	}
+	targets := make([]graph.VID, 0, n)
+	mults := make([]uint64, 0, n)
+	off := make([]int, len(counts)+1)
+	for i, c := range counts {
+		for _, t := range c.Reached {
+			if c.Mult[t] > 0 && filter(t) {
+				targets = append(targets, t)
+				mults = append(mults, c.Mult[t])
+			}
+		}
+		off[i+1] = len(targets)
+	}
+
+	lay := hopLayout{rebind: rebind, mults: mults}
+	return rs.buildHopRows(rows, lay, hsp, func(lo, hi int, hits *[]hit) error {
+		hs := *hits
+		for ri := lo; ri < hi; ri++ {
+			if (ri-lo)&1023 == 0 {
+				if err := rs.checkCancel(); err != nil {
+					*hits = hs
+					return err
+				}
+			}
+			s := rowSrc[ri]
+			for x := off[s]; x < off[s+1]; x++ {
+				t := targets[x]
+				if rebind && rows[ri].verts[boundCol] != t {
+					continue
+				}
+				hs = append(hs, hit{row: int32(ri), to: t, x: uint32(x)})
+			}
+		}
+		*hits = hs
+		return nil
+	})
+}
+
+// resolveCounts collects a counted hop's distinct source vertices (in
+// first-appearance row order, so the parallel miss computation walks
+// them the way the serial loop did) and resolves their Counts: engine
+// cache first, then the misses in parallel across workers. rowSrc[i]
+// is the index into counts of row i's source.
+func (rs *runState) resolveCounts(hop *gsql.Hop, rows []bindingRow, curCol int, hsp *trace.Span) (rowSrc []int32, counts []*match.Counts, err error) {
 	g := rs.g
 	dsp := hsp.Start("dfa")
 	d, dfaCached, err := rs.e.dfa(hop.DarpeText, hop.Darpe)
 	if err != nil {
 		dsp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	dsp.SetBool("cached", dfaCached)
 	dsp.SetInt("states", int64(d.NumStates()))
 	dsp.End()
-	rows := bt.rows
 
-	// Distinct sources, in first-appearance row order so the parallel
-	// miss computation walks them the same way the serial loop did.
-	srcIdx := make(map[graph.VID]int, len(rows))
+	srcIdx := make(map[graph.VID]int32, len(rows))
+	rowSrc = make([]int32, len(rows))
 	var sources []graph.VID
-	for _, row := range rows {
-		v := row.verts[curCol]
-		if _, ok := srcIdx[v]; !ok {
-			srcIdx[v] = len(sources)
+	for ri := range rows {
+		v := rows[ri].verts[curCol]
+		i, ok := srcIdx[v]
+		if !ok {
+			i = int32(len(sources))
+			srcIdx[v] = i
 			sources = append(sources, v)
 		}
+		rowSrc[ri] = i
 	}
 
 	// Resolve counts: cache lookups, then kernel runs for the misses.
@@ -578,7 +726,7 @@ func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, bo
 	// pollutes the cache with stale ones.
 	epoch := g.Epoch()
 	cache := rs.e.counts.Load()
-	counts := make([]*match.Counts, len(sources))
+	counts = make([]*match.Counts, len(sources))
 	var missing []int
 	for i, src := range sources {
 		if c := cache.get(countKey{d: d, sem: rs.semantics, src: src}, epoch); c != nil {
@@ -595,61 +743,14 @@ func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, bo
 	hsp.SetInt("sdmc_runs", int64(len(missing)))
 	if len(missing) > 0 {
 		if err := rs.countSources(hop, d, sources, missing, counts, hsp); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		rs.res.Stats.SDMCRuns += int64(len(missing))
 		for _, i := range missing {
 			cache.put(countKey{d: d, sem: rs.semantics, src: sources[i]}, counts[i], epoch)
 		}
 	}
-
-	// Per-source reach lists: walk only the recorded targets, not all
-	// V Dist entries. Reached is sorted ascending, so targets come out
-	// in the same order the old dense scan produced.
-	reaches := make([]reach, len(sources))
-	for i, c := range counts {
-		r := &reaches[i]
-		for _, t := range c.Reached {
-			if c.Mult[t] > 0 && filter(t) {
-				r.targets = append(r.targets, t)
-				r.mults = append(r.mults, c.Mult[t])
-			}
-		}
-	}
-
-	// Row expansion: every source's reach is resolved, so each row is
-	// a multiply-and-append — shard it like a single hop.
-	workers := rs.expandWorkers(len(rows))
-	rs.res.Stats.ExpandShards += int64(workers)
-	hsp.SetInt("shards", int64(workers))
-	return shardRows(len(rows), workers, func(lo, hi int) ([]bindingRow, error) {
-		next := make([]bindingRow, 0, hi-lo)
-		for ri := lo; ri < hi; ri++ {
-			if (ri-lo)&1023 == 0 {
-				if err := rs.checkCancel(); err != nil {
-					return nil, err
-				}
-			}
-			row := rows[ri]
-			r := &reaches[srcIdx[row.verts[curCol]]]
-			for i, t := range r.targets {
-				if rebind {
-					if row.verts[boundCol] != t {
-						continue
-					}
-					next = append(next, bindingRow{verts: row.verts, edges: row.edges, mult: satMul(row.mult, r.mults[i])})
-					continue
-				}
-				nr := bindingRow{
-					verts: append(append(make([]graph.VID, 0, len(row.verts)+1), row.verts...), t),
-					edges: row.edges,
-					mult:  satMul(row.mult, r.mults[i]),
-				}
-				next = append(next, nr)
-			}
-		}
-		return next, nil
-	})
+	return rowSrc, counts, nil
 }
 
 // maxSDMCSpans caps the per-kernel-invocation child spans one hop

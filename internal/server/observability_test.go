@@ -22,6 +22,14 @@ const wanderSrc = `CREATE QUERY Wander () FOR GRAPH SalesGraph {
   RETURN R;
 }`
 
+// basketSrc chains a single hop without an edge alias (parallel Bought
+// edges repeat its rows) into a counted hop.
+const basketSrc = `CREATE QUERY Basket () FOR GRAPH SalesGraph {
+  SumAccum<int> @n;
+  SELECT DISTINCT t INTO R FROM Customer:c -(Bought>)- Product:p -((<Bought|Bought>)*1..2)- Product:t ACCUM t.@n += 1;
+  RETURN R;
+}`
+
 // tracedRunResponse mirrors runResponse but decodes the trace into its
 // wire form (a *trace.Span only marshals).
 type tracedRunResponse struct {
@@ -99,6 +107,11 @@ func TestTracedRunSpans(t *testing.T) {
 			t.Errorf("hop span missing %q attr (have %v)", attr, hop.Attrs)
 		}
 	}
+	// The counted hop starts from a vertex type, so its rows are
+	// distinct and compress() has nothing to merge.
+	if c, _ := hop.Attrs["compress"].(string); c != "skipped" {
+		t.Errorf("hop compress = %v, want skipped", hop.Attrs["compress"])
+	}
 	if dfa := findSpan(res.Trace, "dfa"); dfa.Attrs["cached"] != false {
 		t.Errorf("cold dfa span cached = %v, want false", dfa.Attrs["cached"])
 	}
@@ -116,6 +129,32 @@ func TestTracedRunSpans(t *testing.T) {
 	hop = findSpan(warm.Trace, "hop")
 	if hits, _ := hop.Attrs["cache_hits"].(float64); hits == 0 {
 		t.Errorf("warm hop cache_hits = %v, want > 0", hop.Attrs["cache_hits"])
+	}
+
+	// A single hop without an edge alias can repeat a row over parallel
+	// edges, so the counted hop after it must compress.
+	if w := do(s, "POST", "/queries", basketSrc); w.Code != http.StatusCreated {
+		t.Fatalf("install: %d %s", w.Code, w.Body)
+	}
+	basket := decode[tracedRunResponse](t, do(s, "POST", "/queries/Basket/run?trace=1", "{}"))
+	var hops []*trace.SpanJSON
+	var collect func(j *trace.SpanJSON)
+	collect = func(j *trace.SpanJSON) {
+		if j.Name == "hop" {
+			hops = append(hops, j)
+		}
+		for _, c := range j.Children {
+			collect(c)
+		}
+	}
+	collect(basket.Trace)
+	if len(hops) != 2 {
+		t.Fatalf("Basket trace has %d hop spans, want 2", len(hops))
+	}
+	for i, want := range []string{"skipped", "ran"} {
+		if c, _ := hops[i].Attrs["compress"].(string); c != want {
+			t.Errorf("Basket hop %d (%v) compress = %v, want %s", i, hops[i].Attrs["kind"], hops[i].Attrs["compress"], want)
+		}
 	}
 
 	// An untraced run must not carry a trace.
