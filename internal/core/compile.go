@@ -25,12 +25,12 @@ import (
 // so Sum/Min/Max/Avg/Or/And over INT/FLOAT/BOOL stage their deltas in
 // flat cells instead of boxed Accumulators.
 //
-// The compiler is conservative and total: anything it cannot prove it
-// reproduces bit-identically — currently the dynamically-scoped
-// VertexSet.size() form and unknown node types — leaves that clause
-// uncompiled (a nil program or predicate), and the tree-walking
-// interpreter remains both the fallback and the differential oracle.
-// Compilation can never fail an install.
+// The compiler is total: every clause compiles, and this is the only
+// executor production runs. Constructs the interpreter rejects compile
+// to expressions or instructions that raise its error text if and when
+// they execute, so compilation can never fail an install. The
+// tree-walking interpreter survives only as the differential oracle in
+// interp_test.go.
 //
 // On top of per-clause compilation, compileQuery runs a fusion pass:
 // consecutive SELECT blocks sharing an identical FROM pattern and
@@ -49,9 +49,9 @@ type queryPlan struct {
 	fusion map[gsql.Stmt]*fusionGroup
 }
 
-// compiledSelect holds the compiled clauses of one SELECT block; a nil
-// program or predicate means that clause falls back to the
-// interpreter.
+// compiledSelect holds the compiled clauses of one SELECT block. acc
+// and post are never nil (an absent clause is an empty program); where
+// is nil only for a block without WHERE.
 type compiledSelect struct {
 	acc  *kprogram
 	post *kprogram
@@ -74,8 +74,7 @@ type fusionGroup struct {
 }
 
 // compileQuery builds the plan for one installed query. It never
-// fails: uncovered clauses compile to nil and ineligible blocks simply
-// do not fuse.
+// fails: ineligible blocks simply do not fuse.
 func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 	p := &queryPlan{
 		selects: map[*gsql.SelectExpr]*compiledSelect{},
@@ -131,34 +130,29 @@ func (base compiler) compileSelect(sel *gsql.SelectExpr) *compiledSelect {
 	}
 	if sel.Where != nil {
 		c := base
-		c.ok, c.p = true, newKprogram(false)
-		if where := c.expr(sel.Where); where != nil && c.ok {
-			cs.where, cs.whereProg = where, c.p
-		}
+		c.p = newKprogram(false)
+		cs.where, cs.whereProg = c.expr(sel.Where), c.p
 	}
 	return cs
 }
 
 // ---- clause compilation ------------------------------------------------------
 
-// compiler carries the per-clause compilation state. ok flips to false
-// when an uncovered construct is seen; the whole clause then falls
-// back to the interpreter.
+// compiler carries the per-clause compilation state.
 type compiler struct {
 	e      *Engine
 	gdecls map[string]*accum.Spec
 	vdecls map[string]*accum.Spec
 	params map[string]value.Kind // declared parameter kinds
 	p      *kprogram
-	ok     bool
 }
 
 // compileClause lowers one ACCUM (post=false) or POST-ACCUM (post=true)
-// statement list; nil means the interpreter runs it. An empty clause
-// compiles to an empty program so pure-traversal blocks stay fusible.
+// statement list. An empty clause compiles to an empty program so
+// pure-traversal blocks stay fusible.
 func (base compiler) compileClause(stmts []gsql.AccStmt, post bool) *kprogram {
 	c := &base
-	c.ok, c.p = true, newKprogram(post)
+	c.p = newKprogram(post)
 	// Clause-local assignment targets must be known before any
 	// expression compiles: identifier closures check the generation-
 	// stamped local slot (with fall-through) only for names the clause
@@ -166,18 +160,18 @@ func (base compiler) compileClause(stmts []gsql.AccStmt, post bool) *kprogram {
 	for i := range stmts {
 		collectAssignedLocals(&stmts[i], c.p)
 	}
-	for i := range stmts {
-		ins, ok := c.stmt(&stmts[i])
-		if !ok {
-			return nil
-		}
-		c.p.instrs = append(c.p.instrs, ins)
-	}
-	if !c.ok {
-		return nil
-	}
+	c.p.instrs = c.stmts(stmts)
 	c.p.stmts, c.p.unboxed = countUnboxed(c.p.instrs)
 	return c.p
+}
+
+// stmts compiles a statement list, one instruction per statement.
+func (c *compiler) stmts(stmts []gsql.AccStmt) []kinstr {
+	instrs := make([]kinstr, len(stmts))
+	for i := range stmts {
+		instrs[i] = c.stmt(&stmts[i])
+	}
+	return instrs
 }
 
 // countUnboxed counts the assignment statements of an instruction
@@ -220,53 +214,27 @@ func collectAssignedLocals(st *gsql.AccStmt, p *kprogram) {
 // error instructions that fire only if the statement actually
 // executes — exactly like the interpreter, which never pre-validates
 // untaken IF branches.
-func (c *compiler) stmt(st *gsql.AccStmt) (kinstr, bool) {
+func (c *compiler) stmt(st *gsql.AccStmt) kinstr {
 	if st.Cond != nil {
 		cond := c.expr(st.Cond)
-		if cond == nil {
-			return kinstr{}, false
-		}
-		thenIns := make([]kinstr, 0, len(st.Then))
-		for i := range st.Then {
-			ins, ok := c.stmt(&st.Then[i])
-			if !ok {
-				return kinstr{}, false
-			}
-			thenIns = append(thenIns, ins)
-		}
-		elseIns := make([]kinstr, 0, len(st.Else))
-		for i := range st.Else {
-			ins, ok := c.stmt(&st.Else[i])
-			if !ok {
-				return kinstr{}, false
-			}
-			elseIns = append(elseIns, ins)
-		}
-		return kinstr{cond: cond, then: thenIns, els: elseIns}, true
+		return kinstr{cond: cond, then: c.stmts(st.Then), els: c.stmts(st.Else)}
 	}
 	post := c.p.post
 	switch lhs := st.Lhs.(type) {
 	case *gsql.Ident:
 		if st.Op != "=" {
-			return kinstr{op: kiError, err: fmt.Errorf("local variable %s supports '=' only", lhs.Name)}, true
+			return kinstr{op: kiError, err: fmt.Errorf("local variable %s supports '=' only", lhs.Name)}
 		}
 		rhs := c.expr(st.Rhs)
-		if rhs == nil {
-			return kinstr{}, false
-		}
-		return kinstr{op: kiLocal, local: c.p.localSlot(lhs.Name), rhs: rhs}, true
+		return kinstr{op: kiLocal, local: c.p.localSlot(lhs.Name), rhs: rhs}
 	case *gsql.GlobalAccRef:
 		if st.Op != "+=" {
 			if post {
-				return kinstr{op: kiError, err: fmt.Errorf("'=' on @@%s inside POST-ACCUM would race across vertices; assign at statement level", lhs.Name)}, true
+				return kinstr{op: kiError, err: fmt.Errorf("'=' on @@%s inside POST-ACCUM would race across vertices; assign at statement level", lhs.Name)}
 			}
-			return kinstr{op: kiError, err: fmt.Errorf("'=' on @@%s inside ACCUM would race across acc-executions; assign at statement level or in POST-ACCUM", lhs.Name)}, true
+			return kinstr{op: kiError, err: fmt.Errorf("'=' on @@%s inside ACCUM would race across acc-executions; assign at statement level or in POST-ACCUM", lhs.Name)}
 		}
-		rhs := c.expr(st.Rhs)
-		if rhs == nil {
-			return kinstr{}, false
-		}
-		ins := kinstr{op: kiGlobal, name: lhs.Name, rhs: rhs, slot: -1}
+		ins := kinstr{op: kiGlobal, name: lhs.Name, rhs: c.expr(st.Rhs), slot: -1}
 		if spec, ok := c.gdecls[lhs.Name]; ok {
 			ins.slot = c.p.gwriteSlot(lhs.Name, spec)
 			ins.spec = spec
@@ -275,16 +243,13 @@ func (c *compiler) stmt(st *gsql.AccStmt) (kinstr, bool) {
 		} else {
 			ins.wErr = fmt.Errorf("undeclared global accumulator @@%s", lhs.Name)
 		}
-		return ins, true
+		return ins
 	case *gsql.VertexAccRef:
 		if !post && st.Op != "+=" {
-			return kinstr{op: kiError, err: fmt.Errorf("'=' on @%s inside ACCUM would race across acc-executions (snapshot semantics); use POST-ACCUM", lhs.Name)}, true
+			return kinstr{op: kiError, err: fmt.Errorf("'=' on @%s inside ACCUM would race across acc-executions (snapshot semantics); use POST-ACCUM", lhs.Name)}
 		}
 		recv := c.expr(lhs.Vertex)
 		rhs := c.expr(st.Rhs)
-		if recv == nil || rhs == nil {
-			return kinstr{}, false
-		}
 		ins := kinstr{op: kiVacc, name: lhs.Name, recv: recv, recvSlot: c.vertexSlot(lhs.Vertex),
 			rhs: rhs, slot: -1, assign: post && st.Op == "="}
 		if spec, ok := c.vdecls[lhs.Name]; ok {
@@ -301,12 +266,12 @@ func (c *compiler) stmt(st *gsql.AccStmt) (kinstr, bool) {
 		} else {
 			ins.wErr = fmt.Errorf("undeclared vertex accumulator @%s", lhs.Name)
 		}
-		return ins, true
+		return ins
 	default:
 		if post {
-			return kinstr{op: kiError, err: fmt.Errorf("invalid POST-ACCUM statement target %T", st.Lhs)}, true
+			return kinstr{op: kiError, err: fmt.Errorf("invalid POST-ACCUM statement target %T", st.Lhs)}
 		}
-		return kinstr{op: kiError, err: fmt.Errorf("invalid ACCUM statement target %T", st.Lhs)}, true
+		return kinstr{op: kiError, err: fmt.Errorf("invalid ACCUM statement target %T", st.Lhs)}
 	}
 }
 
@@ -326,7 +291,7 @@ func errExpr(err error) *cexpr {
 
 func dynExpr(fn func(*kctx) (value.Value, error)) *cexpr { return &cexpr{fn: fn} }
 
-// expr compiles one expression; nil marks the clause uncovered.
+// expr compiles one expression; it never returns nil.
 func (c *compiler) expr(e gsql.Expr) *cexpr {
 	switch n := e.(type) {
 	case *gsql.Lit:
@@ -352,9 +317,7 @@ func (c *compiler) expr(e gsql.Expr) *cexpr {
 	case *gsql.TupleExpr:
 		elems := make([]*cexpr, len(n.Elems))
 		for i, sub := range n.Elems {
-			if elems[i] = c.expr(sub); elems[i] == nil {
-				return nil
-			}
+			elems[i] = c.expr(sub)
 		}
 		return dynExpr(func(k *kctx) (value.Value, error) {
 			vals := make([]value.Value, len(elems))
@@ -370,18 +333,10 @@ func (c *compiler) expr(e gsql.Expr) *cexpr {
 	case *gsql.ArrowTuple:
 		parts := make([]*cexpr, 0, len(n.Keys)+len(n.Vals))
 		for _, sub := range n.Keys {
-			ce := c.expr(sub)
-			if ce == nil {
-				return nil
-			}
-			parts = append(parts, ce)
+			parts = append(parts, c.expr(sub))
 		}
 		for _, sub := range n.Vals {
-			ce := c.expr(sub)
-			if ce == nil {
-				return nil
-			}
-			parts = append(parts, ce)
+			parts = append(parts, c.expr(sub))
 		}
 		return dynExpr(func(k *kctx) (value.Value, error) {
 			vals := make([]value.Value, len(parts))
@@ -400,15 +355,10 @@ func (c *compiler) expr(e gsql.Expr) *cexpr {
 		for i, w := range n.Whens {
 			arms[i].cond = c.expr(w.Cond)
 			arms[i].then = c.expr(w.Then)
-			if arms[i].cond == nil || arms[i].then == nil {
-				return nil
-			}
 		}
 		var els *cexpr
 		if n.Else != nil {
-			if els = c.expr(n.Else); els == nil {
-				return nil
-			}
+			els = c.expr(n.Else)
 		}
 		return dynExpr(func(k *kctx) (value.Value, error) {
 			for _, a := range arms {
@@ -429,11 +379,8 @@ func (c *compiler) expr(e gsql.Expr) *cexpr {
 		return errExpr(fmt.Errorf("vertex-set literal is only valid as an assignment right-hand side"))
 	case *gsql.SelectExpr:
 		return errExpr(fmt.Errorf("SELECT is only valid as a statement or assignment right-hand side"))
-	case *gsql.SetOpExpr:
-		return errExpr(fmt.Errorf("cannot evaluate %T", e))
 	default:
-		c.ok = false
-		return nil
+		return errExpr(fmt.Errorf("cannot evaluate %T", e))
 	}
 }
 
@@ -456,9 +403,6 @@ func (c *compiler) identExpr(name string) *cexpr {
 
 func (c *compiler) vaccExpr(n *gsql.VertexAccRef) *cexpr {
 	recv := c.expr(n.Vertex)
-	if recv == nil {
-		return nil
-	}
 	name := n.Name
 	si := -1
 	if spec, ok := c.vdecls[name]; ok {
@@ -496,9 +440,6 @@ func (c *compiler) vaccExpr(n *gsql.VertexAccRef) *cexpr {
 // of boxing it into a Value first.
 func (c *compiler) attrExpr(n *gsql.AttrRef) *cexpr {
 	obj := c.expr(n.Obj)
-	if obj == nil {
-		return nil
-	}
 	name := n.Name
 	sch := c.e.Graph().Schema
 	vts := sch.VertexTypes()
@@ -594,9 +535,7 @@ func (c *compiler) callExpr(n *gsql.Call) *cexpr {
 	args := make([]*cexpr, len(n.Args))
 	allConst := true
 	for i, a := range n.Args {
-		if args[i] = c.expr(a); args[i] == nil {
-			return nil
-		}
+		args[i] = c.expr(a)
 		allConst = allConst && args[i].isConst
 	}
 	name := n.Name
@@ -626,28 +565,14 @@ func (c *compiler) callExpr(n *gsql.Call) *cexpr {
 }
 
 func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
-	// VertexSet.size() resolves against the run's live vertex-set
-	// table when the receiver identifier is not a pattern alias — a
-	// dynamically-scoped lookup this compiler does not model. Leave
-	// the clause to the interpreter (this is the deliberate fallback
-	// path the differential test exercises).
-	if _, ok := n.Recv.(*gsql.Ident); ok && lower(n.Name) == "size" && len(n.Args) == 0 {
-		c.ok = false
-		return nil
-	}
 	recv := c.expr(n.Recv)
-	if recv == nil {
-		return nil
-	}
 	args := make([]*cexpr, len(n.Args))
 	for i, a := range n.Args {
-		if args[i] = c.expr(a); args[i] == nil {
-			return nil
-		}
+		args[i] = c.expr(a)
 	}
 	name := n.Name
 	ln := lower(name)
-	return dynExpr(func(k *kctx) (value.Value, error) {
+	call := dynExpr(func(k *kctx) (value.Value, error) {
 		g := k.rs.g // degrees/keys read the run's pinned snapshot
 		rv, err := recv.fn(k)
 		if err != nil {
@@ -686,14 +611,26 @@ func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
 			return value.Null, fmt.Errorf("unknown vertex method %q", name)
 		}
 	})
+	// Ident.size() is evalMethod's VertexSet.size(): when the name is
+	// not a pattern alias in scope for this clause and the run has a
+	// vertex set of that name, it counts the set. The bind step
+	// resolves that per clause execution (kprogram.bindVsetSizes);
+	// otherwise the ordinary method call runs, with its errors.
+	if id, ok := n.Recv.(*gsql.Ident); ok && ln == "size" && len(n.Args) == 0 {
+		vi := c.p.vsetSlot(id.Name)
+		return dynExpr(func(k *kctx) (value.Value, error) {
+			if sz := k.b.vsetSizes[vi]; sz >= 0 {
+				return value.NewInt(sz), nil
+			}
+			return call.fn(k)
+		})
+	}
+	return call
 }
 
 func (c *compiler) binaryExpr(n *gsql.Binary) *cexpr {
 	l := c.expr(n.L)
 	r := c.expr(n.R)
-	if l == nil || r == nil {
-		return nil
-	}
 	op := n.Op
 	if op == "and" || op == "or" {
 		and := op == "and"
@@ -789,9 +726,6 @@ func binOpFunc(op string) func(l, r value.Value) (value.Value, error) {
 
 func (c *compiler) unaryExpr(n *gsql.Unary) *cexpr {
 	x := c.expr(n.X)
-	if x == nil {
-		return nil
-	}
 	if n.Op == "not" {
 		if x.isConst {
 			return constExpr(value.NewBool(!x.cval.Truthy()))
@@ -919,9 +853,6 @@ func (c *compiler) numeric(e gsql.Expr) *numExpr {
 // the read goes offset-direct.
 func (c *compiler) numAttr(n *gsql.AttrRef) *numExpr {
 	obj := c.expr(n.Obj)
-	if obj == nil {
-		return nil
-	}
 	name := n.Name
 	sch := c.e.Graph().Schema
 	var at graph.AttrType
@@ -1354,7 +1285,7 @@ func fuseStmts(p *queryPlan, stmts []gsql.Stmt) {
 	i := 0
 	for i < len(stmts) {
 		sel, _, ok := selOfStmt(stmts[i])
-		if !ok || !accCompiled(p, sel) {
+		if !ok {
 			i++
 			continue
 		}
@@ -1364,7 +1295,7 @@ func fuseStmts(p *queryPlan, stmts []gsql.Stmt) {
 		j := i + 1
 		for j < len(stmts) {
 			nsel, _, ok := selOfStmt(stmts[j])
-			if !ok || !accCompiled(p, nsel) {
+			if !ok {
 				break
 			}
 			nf := blockFactsOf(stmts[j])
@@ -1392,11 +1323,6 @@ func selOfStmt(s gsql.Stmt) (*gsql.SelectExpr, string, bool) {
 		}
 	}
 	return nil, "", false
-}
-
-func accCompiled(p *queryPlan, sel *gsql.SelectExpr) bool {
-	cs := p.selects[sel]
-	return cs != nil && cs.acc != nil
 }
 
 func addBlock(g *fusionGroup, s gsql.Stmt) {

@@ -72,13 +72,11 @@ func buildCompileDiffGraph(n, edges int, seed int64) *graph.Graph {
 // accumulator kind, boxed targets, attribute and edge-attribute
 // offsets, conditionals and typed locals, POST-ACCUM with '=' and
 // prev-value reads, fusable block runs, multiplicity-bearing counted
-// hops, runtime errors, and the declared interpreter fallback.
+// hops, runtime errors, and every branch of Ident.size()'s scoping
+// rule. Every entry has an ACCUM or POST-ACCUM clause.
 var compileDiffCorpus = []struct {
 	name string
 	src  string
-	// wantCompiled: at least one clause must take the kernel path on
-	// the compiling engine (false for the deliberate fallback).
-	wantCompiled bool
 }{
 	{"sums_attrs", `CREATE QUERY Q() {
 	  SumAccum<int> @@si;
@@ -88,7 +86,7 @@ var compileDiffCorpus = []struct {
 	      ACCUM @@si += s.score + e.w, @@sf += t.weight * 2.0, t.@n += s.score;
 	  PRINT @@si, @@sf;
 	  PRINT R[R.name, R.@n];
-	}`, true},
+	}`},
 	{"minmax_bool_where", `CREATE QUERY Q() {
 	  MinAccum<int> @@mn;
 	  MaxAccum<float> @@mx;
@@ -101,7 +99,7 @@ var compileDiffCorpus = []struct {
 	            @@all += t.flag, t.@best += s.score;
 	  PRINT @@mn, @@mx, @@any, @@all;
 	  PRINT R[R.name, R.@best];
-	}`, true},
+	}`},
 	{"avg_case_local", `CREATE QUERY Q() {
 	  AvgAccum<float> @@avg;
 	  SumAccum<int> @@cnt;
@@ -110,7 +108,7 @@ var compileDiffCorpus = []struct {
 	            @@avg += sc + CASE WHEN t.flag THEN 1 ELSE 0 END,
 	            IF s.flag AND sc > 3 THEN @@cnt += 1 ELSE @@cnt += sc END;
 	  PRINT @@avg, @@cnt;
-	}`, true},
+	}`},
 	{"post_assign_prev", `CREATE QUERY Q() {
 	  SumAccum<int> @n;
 	  SumAccum<float> @r;
@@ -120,14 +118,14 @@ var compileDiffCorpus = []struct {
 	      POST-ACCUM t.@r = t.@n * 0.5, @@tot += t.@r;
 	  PRINT @@tot;
 	  PRINT R[R.name, R.@n, R.@r];
-	}`, true},
+	}`},
 	{"fuse_two", `CREATE QUERY Q() {
 	  SumAccum<int> @@a;
 	  SumAccum<int> @@b;
 	  X = SELECT t FROM N:s -(E>)- N:t ACCUM @@a += s.score;
 	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM @@b += t.score;
 	  PRINT @@a, @@b;
-	}`, true},
+	}`},
 	{"fuse_four_counted", `CREATE QUERY Q() {
 	  SumAccum<int> @@a;
 	  SumAccum<float> @@b;
@@ -138,30 +136,116 @@ var compileDiffCorpus = []struct {
 	  C = SELECT t FROM N:s -(E>*1..2)- N:t ACCUM @@c += t.score;
 	  D = SELECT t FROM N:s -(E>*1..2)- N:t ACCUM @@d += s.score;
 	  PRINT @@a, @@b, @@c, @@d;
-	}`, true},
+	}`},
 	{"string_methods", `CREATE QUERY Q() {
 	  MaxAccum<string> @@last;
 	  SumAccum<int> @@deg;
 	  R = SELECT t FROM N:s -(E>)- N:t
 	      ACCUM @@last += t.name, @@deg += s.outdegree();
 	  PRINT @@last, @@deg;
-	}`, true},
+	}`},
 	{"err_wrong_op", `CREATE QUERY Q() {
 	  SumAccum<int> @@x;
 	  R = SELECT t FROM N:s -(E>)- N:t ACCUM @@x = 1;
 	  PRINT @@x;
-	}`, true},
+	}`},
 	{"err_type_mismatch", `CREATE QUERY Q() {
 	  SumAccum<int> @@x;
 	  R = SELECT t FROM N:s -(E>)- N:t ACCUM @@x += t.name;
 	  PRINT @@x;
-	}`, true},
-	{"size_fallback", `CREATE QUERY Q() {
+	}`},
+	// Ident.size() counts the vertex set when the name is no pattern
+	// alias in scope: read in ACCUM ...
+	{"size_vset_accum", `CREATE QUERY Q() {
 	  SumAccum<int> @@a;
 	  X = SELECT s FROM N:s;
 	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM @@a += X.size();
 	  PRINT @@a;
-	}`, false},
+	}`},
+	// ... also in fused blocks, where a block reading a set an earlier
+	// group member defines must not join the group ...
+	{"size_vset_fused", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  SumAccum<int> @@b;
+	  SumAccum<int> @@c;
+	  X = SELECT s FROM N:s WHERE s.flag;
+	  Y = SELECT s FROM N:s -(E>)- N:t ACCUM @@a += X.size();
+	  W = SELECT t FROM N:s -(E>)- N:t ACCUM @@b += X.size() * 2;
+	  Z = SELECT t FROM N:s -(E>)- N:t ACCUM @@c += Y.size() + W.size();
+	  PRINT @@a, @@b, @@c;
+	}`},
+	// ... a pattern alias named like a vertex set is a vertex, whose
+	// size() is an unknown method ...
+	{"err_size_pattern_alias", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  X = SELECT s FROM N:s WHERE s.flag;
+	  Y = SELECT t FROM N:X -(E>)- N:t ACCUM @@a += X.size();
+	  PRINT @@a;
+	}`},
+	// ... a clause local does not shadow the vertex set ...
+	{"size_local_named_like_vset", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  X = SELECT s FROM N:s WHERE s.score > 0;
+	  Y = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM int X = s.score, @@a += X.size() * 100 + X;
+	  PRINT @@a;
+	}`},
+	// ... nor does a parameter or run variable ...
+	{"size_param_named_like_vset", `CREATE QUERY Q(int a) {
+	  SumAccum<int> @@x;
+	  a = SELECT s FROM N:s WHERE s.flag;
+	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM @@x += a.size();
+	  PRINT @@x;
+	}`},
+	// ... but with no such set the local is the receiver ...
+	{"err_size_local_no_vset", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM int Z = s.score, @@a += Z.size();
+	  PRINT @@a;
+	}`},
+	// ... in POST-ACCUM only the group's own alias is in scope: a
+	// vertex set named like another block's alias is counted ...
+	{"size_post_other_block_alias", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  SumAccum<int> @n;
+	  t = SELECT v FROM N:v WHERE v.flag;
+	  R = SELECT s FROM N:s -(E>)- N:m
+	      ACCUM s.@n += 1
+	      POST-ACCUM s.@n = s.@n * 2, @@a += t.size();
+	  PRINT @@a;
+	  PRINT R[R.name, R.@n];
+	}`},
+	// ... while the group alias itself is a vertex ...
+	{"err_size_post_group_alias", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  SumAccum<int> @n;
+	  s = SELECT v FROM N:v WHERE v.flag;
+	  R = SELECT t FROM N:s -(E>)- N:t
+	      ACCUM t.@n += 1
+	      POST-ACCUM t.@n = t.@n + 1, @@a += s.size();
+	  PRINT @@a;
+	}`},
+	// ... a name no scope binds yet is an unknown identifier ...
+	{"err_size_unknown_name", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  Y = SELECT t FROM N:s -(E>)- N:t ACCUM @@a += Z.size();
+	  Z = SELECT s FROM N:s;
+	  PRINT @@a;
+	}`},
+	// ... and each clause execution reads the set as it is then.
+	{"size_while_shrinking_vset", `CREATE QUERY Q() {
+	  SumAccum<int> @@a;
+	  SumAccum<int> @@it;
+	  OrAccum @seen;
+	  F = SELECT s FROM N:s WHERE s.score > 5;
+	  WHILE F.size() > 0 LIMIT 4 DO
+	    F = SELECT t FROM F:s -(E>)- N:t
+	        WHERE NOT t.@seen AND F.size() > 1
+	        ACCUM t.@seen += true, @@a += F.size()
+	        POST-ACCUM @@it += F.size();
+	  END;
+	  PRINT @@a, @@it;
+	}`},
 	{"where_attr_param_literal", `CREATE QUERY Q(int lo, float hi, string nm) {
 	  SumAccum<int> @@n;
 	  SumAccum<int> @deg;
@@ -171,14 +255,14 @@ var compileDiffCorpus = []struct {
 	      ACCUM @@n += e.w, t.@deg += 1;
 	  PRINT @@n;
 	  PRINT R[R.name, R.@deg];
-	}`, true},
+	}`},
 	{"where_alias_ne", `CREATE QUERY Q() {
 	  SumAccum<int> @@n;
 	  R = SELECT t FROM N:s -(E>)- N:m -(E>)- N:t
 	      WHERE s <> t AND m != s
 	      ACCUM @@n += 1;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	// Parameters are scalar, so the list reaches IN through a
 	// SetAccum filled from them and through a tuple of them.
 	{"where_in", `CREATE QUERY Q(int a, int b) {
@@ -190,35 +274,35 @@ var compileDiffCorpus = []struct {
 	      WHERE t.score IN @@pick OR e.w IN (a, b, 7)
 	      ACCUM @@n += 1;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	{"where_case", `CREATE QUERY Q() {
 	  SumAccum<float> @@w;
 	  R = SELECT t FROM N:s -(E>)- N:t
 	      WHERE CASE WHEN s.flag THEN s.score > 0 WHEN t.flag THEN t.weight > 4.0 END
 	      ACCUM @@w += t.weight;
 	  PRINT @@w;
-	}`, true},
+	}`},
 	{"where_short_circuit", `CREATE QUERY Q() {
 	  SumAccum<int> @@n;
 	  R = SELECT t FROM N:s -(E>)- N:t
 	      WHERE (s.score > 100 AND t.nosuch == 1) OR s.score < 100 OR to_datetime(t.name) > 0
 	      ACCUM @@n += 1;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	{"err_where_guarded", `CREATE QUERY Q() {
 	  SumAccum<int> @@n;
 	  R = SELECT t FROM N:s -(E>)- N:t
 	      WHERE s.flag AND to_datetime(s.name) > 0
 	      ACCUM @@n += 1;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	{"err_where_div_zero", `CREATE QUERY Q() {
 	  SumAccum<int> @@n;
 	  R = SELECT t FROM N:s -(E>)- N:t
 	      WHERE s.score / (t.score - t.score) > 0
 	      ACCUM @@n += 1;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	{"where_vacc", `CREATE QUERY Q() {
 	  SumAccum<int> @n;
 	  SumAccum<int> @@hits;
@@ -227,7 +311,7 @@ var compileDiffCorpus = []struct {
 	      WHERE s.@n > 1 AND t.@n >= s.@n
 	      ACCUM @@hits += t.@n;
 	  PRINT @@hits;
-	}`, true},
+	}`},
 	{"where_rel_column", `CREATE QUERY Q() {
 	  SumAccum<int> @@k;
 	  SumAccum<int> @c;
@@ -236,7 +320,7 @@ var compileDiffCorpus = []struct {
 	      ACCUM @@k += r.k, t.@c += 1;
 	  PRINT @@k;
 	  PRINT R[R.name, R.@c];
-	}`, true},
+	}`},
 	{"where_run_local", `CREATE QUERY Q(int a) {
 	  SetAccum<int> @@pick;
 	  SumAccum<int> @@n;
@@ -246,21 +330,21 @@ var compileDiffCorpus = []struct {
 	    R = SELECT t FROM N:s -(E>)- N:t WHERE s.score == x ACCUM @@n += x;
 	  END;
 	  PRINT @@n;
-	}`, true},
+	}`},
 	{"where_fused", `CREATE QUERY Q() {
 	  SumAccum<int> @@a;
 	  SumAccum<int> @@b;
 	  X = SELECT t FROM N:s -(E>)- N:t WHERE s.score > 1 ACCUM @@a += s.score;
 	  Y = SELECT t FROM N:s -(E>)- N:t WHERE s.score > 1 ACCUM @@b += t.score;
 	  PRINT @@a, @@b;
-	}`, true},
-	// X.size() keeps this WHERE on the interpreter; its ACCUM compiles.
-	{"where_size_fallback", `CREATE QUERY Q() {
+	}`},
+	// Ident.size() counting a vertex set inside WHERE.
+	{"size_vset_where", `CREATE QUERY Q() {
 	  SumAccum<int> @@a;
 	  X = SELECT s FROM N:s WHERE s.score > 0;
 	  Y = SELECT t FROM N:s -(E>)- N:t WHERE X.size() > 2 AND s.flag ACCUM @@a += 1;
 	  PRINT @@a;
-	}`, true},
+	}`},
 	// PageRank-shaped bodies: the typed rung's reads and writes.
 	{"pagerank_typed", `CREATE QUERY Q(float maxChange, int maxIteration, float dampingFactor) {
 	  MaxAccum<float> @@maxDifference = 9999;
@@ -277,7 +361,7 @@ var compileDiffCorpus = []struct {
 	  END;
 	  PRINT @@maxDifference;
 	  PRINT AllV[AllV.name, AllV.@score];
-	}`, true},
+	}`},
 	{"pagerank_outdegree", `CREATE QUERY Q(float maxChange, int maxIteration, float dampingFactor) {
 	  MaxAccum<float> @@maxDifference = 9999;
 	  SumAccum<float> @received_score;
@@ -293,7 +377,7 @@ var compileDiffCorpus = []struct {
 	  END;
 	  PRINT @@maxDifference;
 	  PRINT AllV[AllV.name, AllV.@score];
-	}`, true},
+	}`},
 	// Sum<int> reads in both clauses; v.@c' before the group's first
 	// write to @c (the live value) and after it (the record).
 	{"pagerank_sum_int_prev", `CREATE QUERY Q(int a) {
@@ -308,7 +392,7 @@ var compileDiffCorpus = []struct {
 	                 t.@c += t.@c';
 	  PRINT @@seen, @@delta;
 	  PRINT R[R.name, R.@c];
-	}`, true},
+	}`},
 	// A zero out-degree divides a float by zero: +Inf (NaN for 0/0),
 	// not an error, on both rungs.
 	{"pagerank_zero_outdegree", `CREATE QUERY Q() {
@@ -319,14 +403,14 @@ var compileDiffCorpus = []struct {
 	      POST-ACCUM t.@inv = t.@inv * 2;
 	  PRINT @@mx;
 	  PRINT R[R.name, R.@inv];
-	}`, true},
+	}`},
 	// int/int by a zero out-degree misses to the boxed path, which owns
 	// the error text.
 	{"err_pagerank_int_div_zero", `CREATE QUERY Q() {
 	  SumAccum<float> @@x;
 	  R = SELECT t FROM N:s -(E>)- N:t ACCUM @@x += s.score / t.outdegree();
 	  PRINT @@x;
-	}`, true},
+	}`},
 	// A MaxAccum<float> fed ints holds an int: typed reads of it miss
 	// and the boxed path keeps the int kind.
 	{"pagerank_max_float_holding_int", `CREATE QUERY Q() {
@@ -339,7 +423,7 @@ var compileDiffCorpus = []struct {
 	      POST-ACCUM t.@m = t.@m + 0.5, @@g += t.@m;
 	  PRINT @@s, @@g;
 	  PRINT B[B.name, B.@m];
-	}`, true},
+	}`},
 	// fi is declared float and bound to an int argument; typed '=' and
 	// '+=' land in live Sum and Avg accumulators.
 	{"pagerank_int_arg_float_param", `CREATE QUERY Q(float fi, int a) {
@@ -352,7 +436,7 @@ var compileDiffCorpus = []struct {
 	                 t.@av = t.@v, t.@av += a;
 	  PRINT @@s;
 	  PRINT R[R.name, R.@v, R.@av];
-	}`, true},
+	}`},
 	{"pagerank_abs", `CREATE QUERY Q() {
 	  SumAccum<int> @@ai;
 	  SumAccum<float> @@af;
@@ -362,7 +446,7 @@ var compileDiffCorpus = []struct {
 	      POST-ACCUM t.@lo = abs(t.@lo - 50), @@af += abs(-t.weight);
 	  PRINT @@ai, @@af;
 	  PRINT R[R.name, R.@lo];
-	}`, true},
+	}`},
 }
 
 // typedCorpus names the corpus entries whose every ACCUM / POST-ACCUM
@@ -392,7 +476,7 @@ var compileDiffArgs = map[string]value.Value{
 
 // compileDiffTable is the relational table every corpus engine
 // registers (as "Lbl"); its names match some of the graph's vertices.
-func compileDiffTable(t *testing.T) *RelTable {
+func compileDiffTable(t testing.TB) *RelTable {
 	t.Helper()
 	tbl, err := NewRelTable("Lbl", []string{"name", "k"}, [][]value.Value{
 		{value.NewString("n0"), value.NewInt(1)},
@@ -434,30 +518,28 @@ func compileDiffSig(res *Result) string {
 	return sb.String()
 }
 
-// runCompileDiff executes one (graph, query, workers) pair on both
-// engines and returns the pair of outcomes.
-func runCompileDiff(t *testing.T, g *graph.Graph, src string, workers int) (cRes, iRes *Result, cErr, iErr error) {
+// runCompileDiff executes one (graph, query, workers) pair compiled
+// and on the interpreter, and returns the pair of outcomes.
+func runCompileDiff(t testing.TB, g *graph.Graph, src string, workers int) (cRes, iRes *Result, cErr, iErr error) {
 	t.Helper()
-	mk := func(disable bool) (*Result, error) {
-		e := New(g, Options{Workers: workers, MinParallelRows: 1, DisableAccumCompile: disable})
-		if err := e.RegisterTable(compileDiffTable(t)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Install(src); err != nil {
-			t.Fatalf("install (disable=%v): %v", disable, err)
-		}
-		params, err := e.QueryParams("Q")
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := map[string]value.Value{}
-		for _, p := range params {
-			args[p.Name] = compileDiffArgs[p.Name]
-		}
-		return e.Run("Q", args)
+	e := New(g, Options{Workers: workers, MinParallelRows: 1})
+	if err := e.RegisterTable(compileDiffTable(t)); err != nil {
+		t.Fatal(err)
 	}
-	cRes, cErr = mk(false)
-	iRes, iErr = mk(true)
+	if err := e.Install(src); err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	params, err := e.QueryParams("Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := map[string]value.Value{}
+	for _, p := range params {
+		args[p.Name] = compileDiffArgs[p.Name]
+	}
+	run := func() (*Result, error) { return e.Run("Q", args) }
+	cRes, cErr = run()
+	iRes, iErr = maybeInterpreted(true, run)
 	return
 }
 
@@ -473,44 +555,61 @@ func TestCompiledKernelsBitIdenticalToInterpreter(t *testing.T) {
 		g := buildCompileDiffGraph(3+r.Intn(12), 4+r.Intn(28), seed)
 		for _, tc := range compileDiffCorpus {
 			for _, w := range []int{1, 2, 8} {
-				cRes, iRes, cErr, iErr := runCompileDiff(t, g, tc.src, w)
-				if (cErr == nil) != (iErr == nil) {
-					t.Fatalf("seed %d %s workers %d: error divergence: compiled=%v interpreted=%v",
-						seed, tc.name, w, cErr, iErr)
-				}
-				if cErr != nil {
-					if cErr.Error() != iErr.Error() {
-						t.Fatalf("seed %d %s workers %d: error text diverged:\ncompiled:    %v\ninterpreted: %v",
-							seed, tc.name, w, cErr, iErr)
-					}
-					continue
-				}
-				if cs, is := compileDiffSig(cRes), compileDiffSig(iRes); cs != is {
-					t.Fatalf("seed %d %s workers %d: results diverged\ncompiled:\n%s\ninterpreted:\n%s",
-						seed, tc.name, w, cs, is)
-				}
-				if iRes.Stats.AccumCompiledStmts != 0 || iRes.Stats.AccumUnboxedMisses != 0 {
-					t.Fatalf("%s: disabled engine reported compiled statements or unboxed misses", tc.name)
-				}
-				if typedCorpus[tc.name] && cRes.Stats.AccumUnboxedMisses != 0 {
-					t.Fatalf("seed %d %s workers %d: %d unboxed misses, want 0",
-						seed, tc.name, w, cRes.Stats.AccumUnboxedMisses)
-				}
-				if tc.wantCompiled && cRes.Stats.AccumCompiledStmts == 0 {
-					t.Fatalf("%s: expected the kernel path, got all-interpreted (stats %+v)",
-						tc.name, cRes.Stats)
-				}
-				if !tc.wantCompiled && cRes.Stats.AccumInterpretedStmts == 0 {
-					t.Fatalf("%s: expected the interpreter fallback to run", tc.name)
-				}
+				checkAgainstOracle(t, fmt.Sprintf("seed %d %s workers %d", seed, tc.name, w), g, tc.name, tc.src, w)
 			}
 		}
 	}
 }
 
+// FuzzClauseOracle is the execution-level differential fuzzer: a
+// compileDiffCorpus query on a random graph at 1, 2 or 8 workers must
+// give the same result signature or error text compiled as on the
+// interpreter, and a typedCorpus entry must run without an unboxed
+// miss.
+func FuzzClauseOracle(f *testing.F) {
+	for i := range compileDiffCorpus {
+		f.Add(uint8(i), int64(i), uint8(3+i%12), uint8(4+2*i%28), uint8(i%3))
+	}
+	workers := []int{1, 2, 8}
+	f.Fuzz(func(t *testing.T, qi uint8, seed int64, nodes, edges, wi uint8) {
+		tc := compileDiffCorpus[int(qi)%len(compileDiffCorpus)]
+		g := buildCompileDiffGraph(1+int(nodes)%32, int(edges)%128, seed)
+		w := workers[int(wi)%len(workers)]
+		checkAgainstOracle(t, fmt.Sprintf("seed %d %s workers %d", seed, tc.name, w), g, tc.name, tc.src, w)
+	})
+}
+
+// checkAgainstOracle runs one corpus query compiled and on the
+// interpreter and fails t on any observable difference.
+func checkAgainstOracle(t testing.TB, label string, g *graph.Graph, name, src string, workers int) {
+	t.Helper()
+	cRes, iRes, cErr, iErr := runCompileDiff(t, g, src, workers)
+	if (cErr == nil) != (iErr == nil) {
+		t.Fatalf("%s: error divergence: compiled=%v interpreted=%v", label, cErr, iErr)
+	}
+	if cErr != nil {
+		if cErr.Error() != iErr.Error() {
+			t.Fatalf("%s: error text diverged:\ncompiled:    %v\ninterpreted: %v", label, cErr, iErr)
+		}
+		return
+	}
+	if cs, is := compileDiffSig(cRes), compileDiffSig(iRes); cs != is {
+		t.Fatalf("%s: results diverged\ncompiled:\n%s\ninterpreted:\n%s", label, cs, is)
+	}
+	if iRes.Stats.AccumCompiledStmts != 0 || iRes.Stats.AccumUnboxedMisses != 0 {
+		t.Fatalf("%s: interpreter run reported compiled statements or unboxed misses", label)
+	}
+	if typedCorpus[name] && cRes.Stats.AccumUnboxedMisses != 0 {
+		t.Fatalf("%s: %d unboxed misses, want 0", label, cRes.Stats.AccumUnboxedMisses)
+	}
+	if cRes.Stats.AccumInterpretedStmts != 0 {
+		t.Fatalf("%s: compiled run reported interpreted statements (stats %+v)", label, cRes.Stats)
+	}
+}
+
 // TestCompiledKernelCancellation drives an already-cancelled context
-// through both engines at every worker count: both must surface
-// ErrCancelled rather than partial results.
+// through the kernels and the interpreter at every worker count: both
+// must surface ErrCancelled rather than partial results.
 func TestCompiledKernelCancellation(t *testing.T) {
 	g := buildCompileDiffGraph(10, 30, 7)
 	const src = `CREATE QUERY Q() {
@@ -521,14 +620,14 @@ func TestCompiledKernelCancellation(t *testing.T) {
 	}`
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, disable := range []bool{false, true} {
+	for _, interp := range []bool{false, true} {
 		for _, w := range []int{1, 2, 8} {
-			e := New(g, Options{Workers: w, MinParallelRows: 1, DisableAccumCompile: disable})
+			e := New(g, Options{Workers: w, MinParallelRows: 1})
 			if err := e.Install(src); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.RunCtx(ctx, "Q", nil); !errors.Is(err, ErrCancelled) {
-				t.Errorf("disable=%v workers=%d: want ErrCancelled, got %v", disable, w, err)
+			if _, err := maybeInterpreted(interp, func() (*Result, error) { return e.RunCtx(ctx, "Q", nil) }); !errors.Is(err, ErrCancelled) {
+				t.Errorf("interp=%v workers=%d: want ErrCancelled, got %v", interp, w, err)
 			}
 		}
 	}
@@ -572,9 +671,6 @@ func TestCompiledKernelCancellation(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("deadline inside WHERE: want ErrCancelled, got %v", err)
 	}
-	if compiled, _ := root.Find("where").Attr("compiled"); compiled != true {
-		t.Fatalf("WHERE did not take the compiled path (compiled=%v)", compiled)
-	}
 	if root.Find("accum") != nil {
 		t.Fatal("the deadline expired after WHERE finished; the table is too small to test the WHERE checkpoint")
 	}
@@ -616,12 +712,12 @@ func TestCompiledWhereLazyErrors(t *testing.T) {
 		  PRINT @@n;
 		}`, tc.where)
 		var outs [2]string
-		for i, disable := range []bool{false, true} {
-			e := New(g, Options{DisableAccumCompile: disable})
-			installUnvalidated(t, e, src)
-			res, err := e.Run("Q", nil)
+		e := New(g, Options{})
+		installUnvalidated(t, e, src)
+		for i, interp := range []bool{false, true} {
+			res, err := maybeInterpreted(interp, func() (*Result, error) { return e.Run("Q", nil) })
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("%s (disable=%v): err = %v, want error %v", tc.where, disable, err, tc.wantErr)
+				t.Fatalf("%s (interp=%v): err = %v, want error %v", tc.where, interp, err, tc.wantErr)
 			}
 			if err != nil {
 				outs[i] = err.Error()
@@ -636,9 +732,8 @@ func TestCompiledWhereLazyErrors(t *testing.T) {
 }
 
 // TestSNBQueriesCompiledMatchInterpreter runs the five IC queries at
-// h = 2 and 3 plus Qacc on a compiling and an interpreting engine: the
-// results and the surviving binding rows must be identical, and every
-// WHERE on the compiling engine must take the compiled path.
+// h = 2 and 3 plus Qacc compiled and on the interpreter: the results
+// and the surviving binding rows must be identical.
 func TestSNBQueriesCompiledMatchInterpreter(t *testing.T) {
 	g := ldbc.Generate(ldbc.Config{SF: 0.2, Seed: 11})
 	pv, ok := g.VertexByKey("Person", "person0")
@@ -667,21 +762,18 @@ func TestSNBQueriesCompiledMatchInterpreter(t *testing.T) {
 		"lo": graph.MustDatetime("2010-01-01"),
 		"hi": graph.MustDatetime("2012-12-31"),
 	}})
-	compiled := New(g, Options{})
-	interp := New(g, Options{DisableAccumCompile: true})
+	e := New(g, Options{})
 	for _, r := range runs {
-		for _, e := range []*Engine{compiled, interp} {
-			if err := e.Install(r.src); err != nil {
-				t.Fatalf("%s: install: %v", r.name, err)
-			}
+		if err := e.Install(r.src); err != nil {
+			t.Fatalf("%s: install: %v", r.name, err)
 		}
 		root := trace.New("run")
-		cRes, err := compiled.RunCtx(trace.NewContext(context.Background(), root), r.name, r.args)
+		cRes, err := e.RunCtx(trace.NewContext(context.Background(), root), r.name, r.args)
 		root.End()
 		if err != nil {
 			t.Fatalf("%s compiled: %v", r.name, err)
 		}
-		iRes, err := interp.Run(r.name, r.args)
+		iRes, err := maybeInterpreted(true, func() (*Result, error) { return e.Run(r.name, r.args) })
 		if err != nil {
 			t.Fatalf("%s interpreted: %v", r.name, err)
 		}
@@ -691,45 +783,8 @@ func TestSNBQueriesCompiledMatchInterpreter(t *testing.T) {
 		if cRes.Stats.BindingRows != iRes.Stats.BindingRows {
 			t.Errorf("%s: binding rows %d compiled vs %d interpreted", r.name, cRes.Stats.BindingRows, iRes.Stats.BindingRows)
 		}
-		wheres := root.FindAll("where")
-		if len(wheres) == 0 {
+		if len(root.FindAll("where")) == 0 {
 			t.Fatalf("%s: no where span", r.name)
-		}
-		for _, w := range wheres {
-			if c, _ := w.Attr("compiled"); c != true {
-				t.Errorf("%s: a WHERE ran interpreted", r.name)
-			}
-		}
-	}
-}
-
-// TestWhereSpanMarksCompiledPath checks the where span's compiled
-// attribute: true for a covered predicate, false for the X.size()
-// fallback and for every WHERE of an engine with compilation disabled.
-func TestWhereSpanMarksCompiledPath(t *testing.T) {
-	g := buildCompileDiffGraph(10, 30, 5)
-	const src = `CREATE QUERY Q() {
-	  X = SELECT s FROM N:s WHERE s.score > 0;
-	  Y = SELECT t FROM N:s -(E>)- N:t WHERE X.size() > 2;
-	}`
-	for _, disable := range []bool{false, true} {
-		e := New(g, Options{DisableAccumCompile: disable})
-		if err := e.Install(src); err != nil {
-			t.Fatal(err)
-		}
-		root := trace.New("run")
-		if _, err := e.RunCtx(trace.NewContext(context.Background(), root), "Q", nil); err != nil {
-			t.Fatal(err)
-		}
-		root.End()
-		wheres := root.FindAll("where")
-		if len(wheres) != 2 {
-			t.Fatalf("disable=%v: %d where spans, want 2", disable, len(wheres))
-		}
-		for i, want := range []bool{!disable, false} {
-			if got, _ := wheres[i].Attr("compiled"); got != want {
-				t.Errorf("disable=%v: where %d compiled=%v, want %v", disable, i, got, want)
-			}
 		}
 	}
 }
@@ -781,17 +836,17 @@ func TestPageRankTypedRungMatchesInterpreter(t *testing.T) {
 		{"algo", algo.PageRankSource("Page", "LinkTo"), graph.BuildLinkGraph(300, 6, 7)},
 	} {
 		var sigs [2]string
-		for i, disable := range []bool{false, true} {
-			e := New(tc.g, Options{Workers: 2, DisableAccumCompile: disable})
-			if err := e.Install(tc.src); err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run("PageRank", args)
+		e := New(tc.g, Options{Workers: 2})
+		if err := e.Install(tc.src); err != nil {
+			t.Fatal(err)
+		}
+		for i, interp := range []bool{false, true} {
+			res, err := maybeInterpreted(interp, func() (*Result, error) { return e.Run("PageRank", args) })
 			if err != nil {
-				t.Fatalf("%s (disable=%v): %v", tc.name, disable, err)
+				t.Fatalf("%s (interp=%v): %v", tc.name, interp, err)
 			}
 			if res.Stats.AccumUnboxedMisses != 0 {
-				t.Errorf("%s (disable=%v): %d unboxed misses", tc.name, disable, res.Stats.AccumUnboxedMisses)
+				t.Errorf("%s (interp=%v): %d unboxed misses", tc.name, interp, res.Stats.AccumUnboxedMisses)
 			}
 			sigs[i] = compileDiffSig(res)
 		}

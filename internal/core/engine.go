@@ -57,11 +57,6 @@ type Options struct {
 	// tables). 0 selects a default; set 1 to force parallel expansion
 	// whenever Workers allows (differential tests do).
 	MinParallelRows int
-	// DisableAccumCompile turns off the compiled WHERE predicates,
-	// ACCUM/POST-ACCUM kernels and block fusion, forcing every clause
-	// through the tree-walking interpreter. Exists as the differential
-	// oracle and benchmark baseline.
-	DisableAccumCompile bool
 }
 
 // Engine installs and runs GSQL queries against one graph. An Engine
@@ -147,7 +142,7 @@ func (e *Engine) Install(src string) error {
 		e.queries[q.Name] = q
 		// Compile the ACCUM/POST-ACCUM kernels and fusion groups now,
 		// once, so runs pay only the cheap per-clause bind step.
-		// Compilation is total: uncovered clauses stay interpreted.
+		// Compilation is total: every clause runs compiled.
 		e.plans[q.Name] = compileQuery(e, q)
 	}
 	return nil
@@ -291,11 +286,13 @@ type RunStats struct {
 	// ExpandShards counts the shards FROM-clause hop expansion was
 	// split into, summed over hops (1 per hop when serial).
 	ExpandShards int64
-	// AccumCompiledStmts / AccumInterpretedStmts count ACCUM and
-	// POST-ACCUM statements executed through the compiled kernels vs
-	// the tree-walking fallback, per clause execution (a clause run
-	// inside a loop counts each iteration).
-	AccumCompiledStmts    int64
+	// AccumCompiledStmts counts ACCUM and POST-ACCUM statements
+	// executed through the compiled kernels, per clause execution (a
+	// clause run inside a loop counts each iteration).
+	AccumCompiledStmts int64
+	// AccumInterpretedStmts is always 0: every clause compiles, and
+	// the tree-walking interpreter exists only as a test oracle. It is
+	// kept because the benchmark still reads the series it feeds.
 	AccumInterpretedStmts int64
 	// AccumUnboxedMisses counts compiled statement executions whose
 	// typed (unboxed) evaluation met a value it did not predict — a
@@ -353,16 +350,13 @@ func (e *Engine) RunOn(ctx context.Context, g *graph.Graph, name string, args ma
 	}
 	// bind covers parameter coercion and accumulator declaration/init.
 	bsp := sp.Start("bind")
-	rs, err := newRunState(e, g, q, args)
+	rs, err := newRunState(e, g, q, plan, args)
 	bsp.End()
 	if err != nil {
 		return nil, err
 	}
 	rs.ctx = ctx
 	rs.done = ctx.Done()
-	if !e.opts.DisableAccumCompile {
-		rs.plan = plan
-	}
 	if sp != nil {
 		bsp.SetInt("params", int64(len(rs.params)))
 		sp.SetStr("semantics", rs.semantics.String())

@@ -21,7 +21,7 @@ func (rs *runState) execStmts(stmts []gsql.Stmt) (bool, error) {
 		}
 		// A statement opening a fused run executes the whole group —
 		// one traversal feeding every block — and skips its members.
-		if rs.plan != nil {
+		if clauseOracle == nil {
 			if g, ok := rs.plan.fusion[s]; ok {
 				if err := rs.runFusedGroup(g); err != nil {
 					return false, err

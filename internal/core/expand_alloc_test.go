@@ -23,7 +23,7 @@ func warmBuild(t *testing.T, g *graph.Graph, qsrc string, args map[string]value.
 		t.Fatal(err)
 	}
 	q := e.queries["Q"]
-	rs, err := newRunState(e, e.Graph().Snapshot(), q, args)
+	rs, err := newRunState(e, e.Graph().Snapshot(), q, e.plans["Q"], args)
 	if err != nil {
 		t.Fatal(err)
 	}

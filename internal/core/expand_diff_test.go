@@ -138,7 +138,7 @@ func expandOutcome(t *testing.T, g *graph.Graph, qsrc string, workers int) (stri
 		t.Fatalf("install: %v", err)
 	}
 	q := e.queries["Q"]
-	rs, err := newRunState(e, e.Graph().Snapshot(), q, nil)
+	rs, err := newRunState(e, e.Graph().Snapshot(), q, e.plans["Q"], nil)
 	if err != nil {
 		t.Fatalf("runState: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestParallelExpansionCancellation(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := e.queries["Q"]
-			rs, err := newRunState(e, e.Graph().Snapshot(), q, nil)
+			rs, err := newRunState(e, e.Graph().Snapshot(), q, e.plans["Q"], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +276,7 @@ func TestParallelExpansionSemanticsFlavors(t *testing.T) {
 func TestVSetFilterHoisted(t *testing.T) {
 	g := graph.BuildRandomMixedGraph(6, 12, 1)
 	e := New(g, Options{})
-	rs, err := newRunState(e, e.Graph().Snapshot(), &gsql.Query{Name: "t"}, nil)
+	rs, err := newRunState(e, e.Graph().Snapshot(), &gsql.Query{Name: "t"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,6 @@ func (e *Engine) Explain(name string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("core: %w: %q", ErrUnknownQuery, name)
 	}
-	if e.opts.DisableAccumCompile {
-		plan = nil // render what will actually run: interpreter only
-	}
 	var sb strings.Builder
 	sem := e.opts.Semantics
 	switch q.Semantics {
@@ -70,11 +67,9 @@ func (e *Engine) explainStmts(sb *strings.Builder, stmts []gsql.Stmt, plan *quer
 	for _, s := range stmts {
 		// A statement opening a fused run announces the shared
 		// traversal; its member blocks render beneath it.
-		if plan != nil {
-			if g, ok := plan.fusion[s]; ok {
-				fmt.Fprintf(sb, "%sFUSED: %d SELECT blocks share one traversal (%d ACCUM statement(s), one pass)\n",
-					indent, len(g.sels), g.nstmts)
-			}
+		if g, ok := plan.fusion[s]; ok {
+			fmt.Fprintf(sb, "%sFUSED: %d SELECT blocks share one traversal (%d ACCUM statement(s), one pass)\n",
+				indent, len(g.sels), g.nstmts)
 		}
 		switch n := s.(type) {
 		case *gsql.AssignStmt:
@@ -160,26 +155,15 @@ func (e *Engine) explainSelect(sb *strings.Builder, sel *gsql.SelectExpr, plan *
 	if sel.Where != nil {
 		fmt.Fprintf(sb, "%sWHERE filter\n", indent)
 	}
-	var cs *compiledSelect
-	if plan != nil {
-		cs = plan.selects[sel]
-	}
+	cs := plan.selects[sel]
 	if len(sel.Accum) > 0 {
-		mode := "interpreted"
-		if cs != nil && cs.acc != nil {
-			mode = fmt.Sprintf("compiled kernel (%d fast / %d boxed target(s), %d/%d unboxed statement(s), %d resolved attr offset(s))",
-				fastTargets(cs.acc), boxedTargets(cs.acc), cs.acc.unboxed, cs.acc.stmts, cs.acc.attrOffsets)
-		}
-		fmt.Fprintf(sb, "%sACCUM %d statement(s)  [%s, snapshot map/reduce, parallel, multiplicity shortcut %s]\n",
-			indent, len(sel.Accum), mode, onOff(!e.opts.NoMultiplicityShortcut))
+		fmt.Fprintf(sb, "%sACCUM %d statement(s)  [compiled kernel (%d fast / %d boxed target(s), %d/%d unboxed statement(s), %d resolved attr offset(s)), snapshot map/reduce, parallel, multiplicity shortcut %s]\n",
+			indent, len(sel.Accum), fastTargets(cs.acc), boxedTargets(cs.acc), cs.acc.unboxed, cs.acc.stmts, cs.acc.attrOffsets,
+			onOff(!e.opts.NoMultiplicityShortcut))
 	}
 	if len(sel.PostAccum) > 0 {
-		mode := "interpreted"
-		if cs != nil && cs.post != nil {
-			mode = fmt.Sprintf("compiled (%d/%d unboxed statement(s), %d resolved attr offset(s))",
-				cs.post.unboxed, cs.post.stmts, cs.post.attrOffsets)
-		}
-		fmt.Fprintf(sb, "%sPOST-ACCUM %d statement(s)  [%s, once per distinct vertex]\n", indent, len(sel.PostAccum), mode)
+		fmt.Fprintf(sb, "%sPOST-ACCUM %d statement(s)  [compiled (%d/%d unboxed statement(s), %d resolved attr offset(s)), once per distinct vertex]\n",
+			indent, len(sel.PostAccum), cs.post.unboxed, cs.post.stmts, cs.post.attrOffsets)
 	}
 	if len(sel.GroupBy) > 0 {
 		if sel.GroupingSets != nil {

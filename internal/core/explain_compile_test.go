@@ -41,27 +41,6 @@ CREATE QUERY QC(string nm) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-
-	// With compilation disabled the same plan renders the interpreter.
-	e2 := New(g, Options{DisableAccumCompile: true})
-	if err := e2.Install(`
-CREATE QUERY QC() {
-  SumAccum<int> @@hits;
-  MaxAccum<int> @last;
-  S = SELECT t FROM V:s -(E>)- V:t ACCUM @@hits += 1 POST-ACCUM t.@last += 1;
-}`); err != nil {
-		t.Fatal(err)
-	}
-	plan, err = e2.Explain("QC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "ACCUM 1 statement(s)  [interpreted, snapshot map/reduce") {
-		t.Errorf("disabled-compile ACCUM not interpreted:\n%s", plan)
-	}
-	if !strings.Contains(plan, "POST-ACCUM 1 statement(s)  [interpreted, once per distinct vertex]") {
-		t.Errorf("disabled-compile POST-ACCUM not interpreted:\n%s", plan)
-	}
 }
 
 // TestExplainFusedRendering pins the FUSED group banner for
@@ -87,10 +66,10 @@ CREATE QUERY QF() {
 		t.Errorf("plan missing fusion banner:\n%s", plan)
 	}
 
-	// A clause the compiler declines (dynamic vset-scope size()) keeps
-	// the block out of fusion and renders as interpreted.
+	// A block reading a vertex set's size() compiles and fuses with
+	// its neighbour; the block defining the set stays outside.
 	if err := e.Install(`
-CREATE QUERY QIf() {
+CREATE QUERY QSize() {
   SumAccum<int> @@a;
   SumAccum<int> @@b;
   X = SELECT s FROM V:s;
@@ -99,15 +78,15 @@ CREATE QUERY QIf() {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	plan, err = e.Explain("QIf")
+	plan, err = e.Explain("QSize")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "FUSED:") {
-		t.Errorf("interpreted block must not fuse:\n%s", plan)
+	if !strings.Contains(plan, "FUSED: 2 SELECT blocks share one traversal (2 ACCUM statement(s), one pass)") {
+		t.Errorf("size() block did not fuse:\n%s", plan)
 	}
-	if !strings.Contains(plan, "ACCUM 1 statement(s)  [interpreted, snapshot map/reduce") {
-		t.Errorf("fallback block not rendered interpreted:\n%s", plan)
+	if strings.Contains(plan, "interpreted") {
+		t.Errorf("plan still renders an interpreted clause:\n%s", plan)
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 type env struct {
 	// vars holds pattern-alias bindings.
 	vars map[string]value.Value
-	// locals holds ACCUM/POST-ACCUM-clause local variables; hot loops
-	// reuse the environment and reset this between rows.
-	locals map[string]value.Value
-	// prevVacc serves v.@acc' reads inside POST-ACCUM: the value at
-	// clause start for accumulators this clause has overwritten.
+	// locals holds ACCUM/POST-ACCUM-clause local variables and
+	// prevVacc serves v.@acc' reads inside POST-ACCUM (the value at
+	// clause start for accumulators the clause has overwritten). Only
+	// the clause interpreter in interp_test.go sets them; the compiled
+	// kernels keep both in kctx.
+	locals   map[string]value.Value
 	prevVacc map[prevKey]value.Value
 	// aggValues substitutes computed SQL-style aggregates for their
 	// Call nodes during grouped SELECT evaluation.

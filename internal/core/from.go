@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -666,7 +667,21 @@ func (rs *runState) expandCountedHop(bt *bindingTable, hop *gsql.Hop, curCol, bo
 
 	lay := hopLayout{rebind: rebind, mults: mults}
 	return rs.buildHopRows(rows, lay, hsp, func(lo, hi int, hits *[]hit) error {
-		hs := *hits
+		// Size the shard's hits once: a collection can empty hitPool
+		// between runs, and regrowing by append would then copy the
+		// buffer over and over. Each row yields its source's reach
+		// list, or with rebind at most one hit (reach targets are
+		// distinct).
+		need := 0
+		for ri := lo; ri < hi; ri++ {
+			s := rowSrc[ri]
+			n := off[s+1] - off[s]
+			if rebind {
+				n = min(n, 1)
+			}
+			need += n
+		}
+		hs := slices.Grow(*hits, need)
 		for ri := lo; ri < hi; ri++ {
 			if (ri-lo)&1023 == 0 {
 				if err := rs.checkCancel(); err != nil {

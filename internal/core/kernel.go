@@ -16,9 +16,10 @@ import (
 // cheap per-clause-execution bind step that resolves name slots
 // against the actual binding table, the WHERE filter and the sharded
 // kernel executors.
-// Semantics are defined by select.go's interpreter — every stride,
-// error position, error string and merge order here replicates it
-// bit-for-bit (compile_diff_test.go holds the proof obligations).
+// Semantics are defined by the tree-walking oracle in interp_test.go —
+// every stride, error position, error string and merge order here
+// replicates it bit-for-bit (compile_diff_test.go holds the proof
+// obligations).
 
 // cexpr is one closure-compiled expression. Constants additionally
 // carry their folded value so enclosing nodes can fold further.
@@ -90,6 +91,9 @@ type kprogram struct {
 	localNames []string // clause-local variable slots
 	localIdx   map[string]int
 
+	vsets   []string // Ident.size() receivers, resolved per execution
+	vsetIdx map[string]int
+
 	gsnaps   []string // global accumulator reads, snapshot at bind
 	gsnapIdx map[string]int
 
@@ -122,6 +126,7 @@ func newKprogram(post bool) *kprogram {
 		post:      post,
 		nameIdx:   map[string]int{},
 		localIdx:  map[string]int{},
+		vsetIdx:   map[string]int{},
 		gsnapIdx:  map[string]int{},
 		vstoreIdx: map[string]int{},
 		gwriteIdx: map[string]int{},
@@ -145,6 +150,15 @@ func (p *kprogram) localSlot(name string) int {
 	p.localIdx[name] = len(p.localNames)
 	p.localNames = append(p.localNames, name)
 	return len(p.localNames) - 1
+}
+
+func (p *kprogram) vsetSlot(name string) int {
+	if i, ok := p.vsetIdx[name]; ok {
+		return i
+	}
+	p.vsetIdx[name] = len(p.vsets)
+	p.vsets = append(p.vsets, name)
+	return len(p.vsets) - 1
 }
 
 func (p *kprogram) gsnapSlot(name string) int {
@@ -216,9 +230,13 @@ type boundName struct {
 // clauses stage global writes until after the clause) and vertex
 // store pointers. Recycled per program.
 type kbind struct {
-	names   []boundName
-	gsnap   []value.Value
-	vstores []*vaccStore
+	names []boundName
+	// vsetSizes holds, per vsets slot, the size of the run's vertex
+	// set of that name, or -1 when Ident.size() is an ordinary method
+	// call this execution.
+	vsetSizes []int64
+	gsnap     []value.Value
+	vstores   []*vaccStore
 	// k is the WHERE filter's execution context, recycled with the
 	// bind so a filter pass allocates nothing.
 	k kctx
@@ -280,9 +298,10 @@ func (p *kprogram) getBind() *kbind {
 	}
 	p.bindMu.Unlock()
 	return &kbind{
-		names:   make([]boundName, len(p.names)),
-		gsnap:   make([]value.Value, len(p.gsnaps)),
-		vstores: make([]*vaccStore, len(p.vstoreNames)),
+		names:     make([]boundName, len(p.names)),
+		vsetSizes: make([]int64, len(p.vsets)),
+		gsnap:     make([]value.Value, len(p.gsnaps)),
+		vstores:   make([]*vaccStore, len(p.vstoreNames)),
 	}
 }
 
@@ -328,6 +347,7 @@ func (p *kprogram) bindAccumNames(rs *runState, bt *bindingTable, b *kbind) {
 		}
 		p.bindOuterName(rs, name, bn)
 	}
+	p.bindVsetSizes(rs, b)
 }
 
 // bindPostNames resolves identifier slots for one POST-ACCUM group.
@@ -353,6 +373,7 @@ func (p *kprogram) bindPostNames(rs *runState, bt *bindingTable, b *kbind, alias
 		}
 		p.bindOuterName(rs, name, bn)
 	}
+	p.bindVsetSizes(rs, b)
 }
 
 func (p *kprogram) bindOuterName(rs *runState, name string, bn *boundName) {
@@ -369,6 +390,24 @@ func (p *kprogram) bindOuterName(rs *runState, name string, bn *boundName) {
 		return
 	}
 	*bn = boundName{kind: bnErr, err: fmt.Errorf("unknown identifier %q", name)}
+}
+
+// bindVsetSizes resolves each Ident.size() receiver by evalMethod's
+// rule, after the names are bound: a name bound to a pattern alias in
+// scope (a binding-row column, or the POST-ACCUM group's vertex) makes
+// it a method call on that alias; otherwise a vertex set of that name
+// is counted. A clause local of the same name does not shadow the set.
+func (p *kprogram) bindVsetSizes(rs *runState, b *kbind) {
+	for i, name := range p.vsets {
+		b.vsetSizes[i] = -1
+		switch b.names[p.nameIdx[name]].kind {
+		case bnVert, bnEdge, bnRel, bnCurVert:
+			continue
+		}
+		if ids, ok := rs.vsets[name]; ok {
+			b.vsetSizes[i] = int64(len(ids))
+		}
+	}
 }
 
 // ---- execution context --------------------------------------------------------
@@ -1212,15 +1251,6 @@ func (rs *runState) execPostAccumCompiled(p *kprogram, stmts []gsql.AccStmt, bt 
 
 // ---- dispatch -----------------------------------------------------------------
 
-// compiledSel returns the block's compilation artifacts, nil when the
-// engine runs interpreted (no plan, or compilation disabled).
-func (rs *runState) compiledSel(sel *gsql.SelectExpr) *compiledSelect {
-	if rs.plan == nil {
-		return nil
-	}
-	return rs.plan.selects[sel]
-}
-
 // runFusedGroup executes a fused run of SELECT blocks: one expansion,
 // one WHERE pass, one combined ACCUM kernel pass, then each block's
 // POST-ACCUM and outputs in statement order.
@@ -1248,7 +1278,6 @@ func (rs *runState) runFusedGroup(g *fusionGroup) error {
 		}
 		asp := sp.Start("accum")
 		asp.SetInt("rows", int64(len(bt.rows)))
-		asp.SetBool("compiled", true)
 		rs.res.Stats.AccumCompiledStmts += int64(g.nstmts)
 		err := rs.execAccumKernels(progs, bt, asp)
 		asp.End()

@@ -49,8 +49,7 @@ type runState struct {
 	vaccs   map[string]*vaccStore
 
 	// plan holds the query's compiled clause programs and fusion
-	// groups (nil when compilation is disabled: every clause then runs
-	// interpreted).
+	// groups.
 	plan *queryPlan
 
 	res *Result
@@ -133,11 +132,12 @@ func (s *vaccStore) peekInt(v graph.VID) (int64, bool) {
 	return s.initVal.TryInt()
 }
 
-func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, args map[string]value.Value) (*runState, error) {
+func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, plan *queryPlan, args map[string]value.Value) (*runState, error) {
 	rs := &runState{
 		e:         e,
 		g:         g,
 		q:         q,
+		plan:      plan,
 		ctx:       context.Background(),
 		semantics: e.opts.Semantics,
 		params:    make(map[string]value.Value, len(q.Params)),
