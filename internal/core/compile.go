@@ -573,7 +573,7 @@ func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
 	name := n.Name
 	ln := lower(name)
 	call := dynExpr(func(k *kctx) (value.Value, error) {
-		g := k.rs.g // degrees/keys read the run's pinned snapshot
+		g := k.rs.g // types/keys read the run's pinned snapshot
 		rv, err := recv.fn(k)
 		if err != nil {
 			return value.Null, err
@@ -586,7 +586,7 @@ func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
 		case "outdegree":
 			switch len(args) {
 			case 0:
-				return value.NewInt(int64(g.OutDegree(vid))), nil
+				return value.NewInt(int64(k.rs.adjacency().OutDegree(vid))), nil
 			case 1:
 				et, err := args[0].fn(k)
 				if err != nil {
@@ -595,12 +595,12 @@ func (c *compiler) methodExpr(n *gsql.Call) *cexpr {
 				if et.Kind() != value.KindString {
 					return value.Null, fmt.Errorf("outdegree edge type must be a string")
 				}
-				return value.NewInt(int64(g.OutDegreeByType(vid, et.Str()))), nil
+				return value.NewInt(int64(k.rs.outDegreeByName(vid, et.Str()))), nil
 			default:
 				return value.Null, fmt.Errorf("outdegree takes at most one argument")
 			}
 		case "degree":
-			return value.NewInt(int64(g.Degree(vid))), nil
+			return value.NewInt(int64(k.rs.adjacency().Degree(vid))), nil
 		case "type":
 			return value.NewString(g.VertexTypeOf(vid).Name), nil
 		case "id":
@@ -1077,7 +1077,7 @@ func (c *compiler) numVacc(n *gsql.VertexAccRef) *numExpr {
 // numOutdegree compiles v.outdegree() and v.outdegree("T") with a
 // literal edge type, whose id resolves here, at install; a type the
 // schema does not have yet stays boxed. Degrees read the run's pinned
-// snapshot.
+// snapshot through its CSR.
 func (c *compiler) numOutdegree(n *gsql.Call) *numExpr {
 	if lower(n.Name) != "outdegree" || len(n.Args) > 1 {
 		return nil
@@ -1089,7 +1089,7 @@ func (c *compiler) numOutdegree(n *gsql.Call) *numExpr {
 	if len(n.Args) == 0 {
 		return &numExpr{i: func(k *kctx) (int64, error) {
 			if vid, ok := k.vertexOf(ni); ok {
-				return int64(k.rs.g.OutDegree(vid)), nil
+				return int64(k.rs.adjacency().OutDegree(vid)), nil
 			}
 			return 0, errUnboxedMiss
 		}}
@@ -1105,7 +1105,7 @@ func (c *compiler) numOutdegree(n *gsql.Call) *numExpr {
 	id := et.ID
 	return &numExpr{i: func(k *kctx) (int64, error) {
 		if vid, ok := k.vertexOf(ni); ok {
-			return int64(k.rs.g.OutDegreeOfType(vid, id)), nil
+			return int64(k.rs.adjacency().OutDegreeOfType(vid, id)), nil
 		}
 		return 0, errUnboxedMiss
 	}}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime/debug"
+	"strconv"
 	"testing"
 
 	"gsqlgo/internal/graph"
@@ -124,5 +125,56 @@ func TestHitBuffersReturnReset(t *testing.T) {
 		if got := bindingSig(build()); got != want {
 			t.Fatalf("build after a cancelled expansion diverged:\nbefore:\n%s\nafter:\n%s", want, got)
 		}
+	}
+}
+
+// hubGraph builds n spoke vertices around four hubs: each spoke has a
+// D1 edge into one hub and a D2 edge out of one, so joining the two
+// hops on the hub yields about n²/4 rows from an n-row right side
+// hashed on four keys.
+func hubGraph(n int) *graph.Graph {
+	g := graph.BuildRandomMixedGraph(0, 0, 1)
+	for i := 0; i < n+4; i++ {
+		if _, err := g.AddVertex("V", strconv.Itoa(i), nil); err != nil {
+			panic(err)
+		}
+	}
+	for i := 4; i < n+4; i++ {
+		if _, err := g.AddEdge("D1", graph.VID(i), graph.VID(i%4), nil); err != nil {
+			panic(err)
+		}
+		if _, err := g.AddEdge("D2", graph.VID((i/4)%4), graph.VID(i), nil); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
+// TestJoinAllocsFlatInRows is TestHopAllocsFlatInRows for the join of
+// two path conjuncts: the joined table is one row array plus one arena
+// per column kind, so an 8× larger output costs no more allocations.
+func TestJoinAllocsFlatInRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const src = `CREATE QUERY Q() {
+	  R = SELECT t FROM V:s -(D1>:e)- V:h, V:h -(D2>:f)- V:t;
+	  PRINT R;
+	}`
+	var allocs [2]float64
+	var rows [2]int
+	for i, n := range []int{64, 184} {
+		_, build := warmBuild(t, hubGraph(n), src, nil)
+		rows[i] = len(build().rows)
+		allocs[i] = testing.AllocsPerRun(20, func() { build() })
+	}
+	t.Logf("%d rows → %.0f allocs, %d rows → %.0f allocs", rows[0], allocs[0], rows[1], allocs[1])
+	if rows[1] < 6*rows[0] || rows[0] < 800 {
+		t.Fatalf("tables of %d and %d rows do not span the intended sizes", rows[0], rows[1])
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("allocations grew with the joined table: %.0f at %d rows, %.0f at %d rows",
+			allocs[0], rows[0], allocs[1], rows[1])
 	}
 }

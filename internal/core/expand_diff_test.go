@@ -311,3 +311,51 @@ func TestVSetFilterHoisted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// typedHopQueries are single-hop shapes the CSR segment walk serves:
+// every adornment, edge aliases, a rebind, an adornment whose segment
+// is always empty (D1 is directed) and degree reads in ACCUM.
+var typedHopQueries = []string{
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  SumAccum<int> @d;
+	  R = SELECT t FROM V:s -(D1>:e)- V:m -(<D2)- V:t
+	      ACCUM t.@n += 1, t.@d += s.outdegree("U") + s.outdegree() + m.degree();
+	  PRINT R[R.name, R.@n, R.@d];
+	}`,
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(U:e)- V:m -(<D1:f)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT s FROM V:s -(D2>)- V:m -(U)- V:s ACCUM s.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+	`CREATE QUERY Q() {
+	  SumAccum<int> @n;
+	  R = SELECT t FROM V:s -(D1)- V:t ACCUM t.@n += 1;
+	  PRINT R[R.name, R.@n];
+	}`,
+}
+
+// TestTypedHopsOnPatchedAndPinnedSnapshots runs the typed single hops
+// (and every diffQueries shape) on graphs that fold often: once on the
+// head, whose CSR is a patched base plus post-fold delta edges, and
+// once on a snapshot pinned before the last fold, whose CSR is a
+// private build. Binding tables and outputs at Workers 1, 2 and 8 must
+// be byte-identical to the reference expansion's g.Neighbors walk.
+func TestTypedHopsOnPatchedAndPinnedSnapshots(t *testing.T) {
+	queries := append(append([]string(nil), typedHopQueries...), diffQueries...)
+	for seed := int64(0); seed < 12; seed++ {
+		head, pinned := graph.BuildRandomChurnGraph(seed)
+		if !head.Snapshot().Freeze().HasExt() {
+			t.Fatalf("seed %d: head snapshot has no post-fold delta", seed)
+		}
+		for qi, qsrc := range queries {
+			checkAgainstRef(t, fmt.Sprintf("seed %d query %d pinned", seed, qi), pinned, qsrc)
+			checkAgainstRef(t, fmt.Sprintf("seed %d query %d head", seed, qi), head, qsrc)
+		}
+	}
+}

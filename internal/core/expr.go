@@ -369,7 +369,7 @@ func (rs *runState) evalMethod(n *gsql.Call, en *env) (value.Value, error) {
 	case "outdegree":
 		switch len(n.Args) {
 		case 0:
-			return value.NewInt(int64(rs.g.OutDegree(vid))), nil
+			return value.NewInt(int64(rs.adjacency().OutDegree(vid))), nil
 		case 1:
 			et, err := rs.eval(n.Args[0], en)
 			if err != nil {
@@ -378,12 +378,12 @@ func (rs *runState) evalMethod(n *gsql.Call, en *env) (value.Value, error) {
 			if et.Kind() != value.KindString {
 				return value.Null, fmt.Errorf("outdegree edge type must be a string")
 			}
-			return value.NewInt(int64(rs.g.OutDegreeByType(vid, et.Str()))), nil
+			return value.NewInt(int64(rs.outDegreeByName(vid, et.Str()))), nil
 		default:
 			return value.Null, fmt.Errorf("outdegree takes at most one argument")
 		}
 	case "degree":
-		return value.NewInt(int64(rs.g.Degree(vid))), nil
+		return value.NewInt(int64(rs.adjacency().Degree(vid))), nil
 	case "type":
 		return value.NewString(rs.g.VertexTypeOf(vid).Name), nil
 	case "id":

@@ -569,19 +569,29 @@ func (rs *runState) buildHopRows(rows []bindingRow, lay hopLayout, hsp *trace.Sp
 }
 
 // expandSingleHop binds one edge traversal by adjacency expansion,
-// sharded over binding rows across the engine's workers.
+// sharded over binding rows across the engine's workers. A typed hop
+// whose adornment resolves to one traversal direction reads only that
+// (Type, Dir) segment of the run's CSR, base run then ext run: the
+// same half-edges, in the same order, as filtering g.Neighbors. The
+// wildcard keeps the g.Neighbors walk, which a segment walk would not
+// shorten.
 func (rs *runState) expandSingleHop(bt *bindingTable, hop *gsql.Hop, sym *darpe.Symbol, curCol, boundCol int, rebind bool, filter targetFilter, hsp *trace.Span) ([]bindingRow, error) {
 	g := rs.g
 	if hop.EdgeAlias != "" {
 		bt.addEdgeAlias(hop.EdgeAlias)
 	}
 	var typeID = -1
+	var adj *graph.CSR // non-nil: walk the (typeID, dir) segment
+	var dir graph.Dir
 	if sym.EdgeType != "" {
 		et := g.Schema.EdgeType(sym.EdgeType)
 		if et == nil {
 			return nil, fmt.Errorf("FROM: unknown edge type %q", sym.EdgeType)
 		}
 		typeID = et.ID
+		if d, ok := segmentDir(sym.Dir, et.Directed); ok {
+			adj, dir = rs.adjacency(), d
+		}
 	}
 	rows := bt.rows
 	lay := hopLayout{rebind: rebind, edge: hop.EdgeAlias != ""}
@@ -595,25 +605,45 @@ func (rs *runState) expandSingleHop(bt *bindingTable, hop *gsql.Hop, sym *darpe.
 				}
 			}
 			row := &rows[ri]
-			for _, h := range g.Neighbors(row.verts[curCol]) {
-				if typeID >= 0 && int(h.Type) != typeID {
-					continue
+			var runs [2][]graph.HalfEdge
+			if adj != nil {
+				runs[0], runs[1] = adj.Run(row.verts[curCol], int16(typeID), dir)
+			} else {
+				runs[0] = g.Neighbors(row.verts[curCol])
+			}
+			for _, run := range runs {
+				for _, h := range run {
+					if adj == nil && ((typeID >= 0 && int(h.Type) != typeID) || !adornMatches(sym.Dir, h.Dir)) {
+						continue
+					}
+					if !filter(h.To) {
+						continue
+					}
+					if rebind && row.verts[boundCol] != h.To {
+						continue
+					}
+					hs = append(hs, hit{row: int32(ri), to: h.To, x: uint32(h.Edge)})
 				}
-				if !adornMatches(sym.Dir, h.Dir) {
-					continue
-				}
-				if !filter(h.To) {
-					continue
-				}
-				if rebind && row.verts[boundCol] != h.To {
-					continue
-				}
-				hs = append(hs, hit{row: int32(ri), to: h.To, x: uint32(h.Edge)})
 			}
 		}
 		*hits = hs
 		return nil
 	})
+}
+
+// segmentDir is the one half-edge direction a typed hop's adornment
+// traverses. ok is false only for the any-direction adornment over a
+// directed type, which matches two segments.
+func segmentDir(a darpe.Adorn, directed bool) (graph.Dir, bool) {
+	switch a {
+	case darpe.AdornFwd:
+		return graph.DirOut, true
+	case darpe.AdornRev:
+		return graph.DirIn, true
+	case darpe.AdornUnd:
+		return graph.DirUndir, true
+	}
+	return graph.DirUndir, !directed
 }
 
 func adornMatches(a darpe.Adorn, d graph.Dir) bool {
@@ -976,28 +1006,47 @@ func joinTables(a, b *bindingTable) (*bindingTable, error) {
 		}
 		head[h] = int32(i)
 	}
-	for _, ra := range a.rows {
-		h := hashCols(ra.verts, sharedA)
-		bi, ok := head[h]
-		if !ok {
-			continue
-		}
-		for ; bi >= 0; bi = chain[bi] {
-			rb := b.rows[bi]
-			if !sharedEqual(ra.verts, rb.verts) {
+	// Probe twice: count the output rows, then fill them into one arena
+	// per column kind sized exactly, handing out 3-index subslices like
+	// buildHopRows. Both passes visit matches in a's row order, then b's.
+	probe := func(emit func(ra, rb *bindingRow)) {
+		for i := range a.rows {
+			ra := &a.rows[i]
+			bi, ok := head[hashCols(ra.verts, sharedA)]
+			if !ok {
 				continue
 			}
-			nr := bindingRow{
-				verts: append(make([]graph.VID, 0, len(out.vertAliases)), ra.verts...),
-				edges: append(append(make([]graph.EID, 0, len(out.edgeAliases)), ra.edges...), rb.edges...),
-				rels:  append(append(make([]value.Value, 0, len(out.relAliases)), ra.rels...), rb.rels...),
-				mult:  satMul(ra.mult, rb.mult),
+			for ; bi >= 0; bi = chain[bi] {
+				if rb := &b.rows[bi]; sharedEqual(ra.verts, rb.verts) {
+					emit(ra, rb)
+				}
 			}
-			for _, c := range newB {
-				nr.verts = append(nr.verts, rb.verts[c])
-			}
-			out.rows = append(out.rows, nr)
 		}
 	}
+	n := 0
+	probe(func(_, _ *bindingRow) { n++ })
+	if n == 0 {
+		return out, nil
+	}
+	vs, es, ls := len(out.vertAliases), len(out.edgeAliases), len(out.relAliases)
+	out.rows = make([]bindingRow, n)
+	verts := make([]graph.VID, n*vs)
+	edges := make([]graph.EID, n*es)
+	rels := make([]value.Value, n*ls)
+	o := 0
+	probe(func(ra, rb *bindingRow) {
+		v := verts[o*vs : (o+1)*vs : (o+1)*vs]
+		k := copy(v, ra.verts)
+		for _, c := range newB {
+			v[k] = rb.verts[c]
+			k++
+		}
+		e := edges[o*es : (o+1)*es : (o+1)*es]
+		copy(e[copy(e, ra.edges):], rb.edges)
+		r := rels[o*ls : (o+1)*ls : (o+1)*ls]
+		copy(r[copy(r, ra.rels):], rb.rels)
+		out.rows[o] = bindingRow{verts: v, edges: e, rels: r, mult: satMul(ra.mult, rb.mult)}
+		o++
+	})
 	return out, nil
 }

@@ -232,7 +232,7 @@ func (rs *runState) emitOutputs(sel *gsql.SelectExpr, bt *bindingTable, assignTo
 		if len(out.Items) == 1 {
 			if id, ok := out.Items[0].Expr.(*gsql.Ident); ok {
 				if col, ok := bt.vertIdx[id.Name]; ok {
-					rs.setVSet(out.Into, distinctColumn(bt, col))
+					rs.setVSet(out.Into, distinctColumn(bt, col, rs.g.NumVertices()))
 				}
 			}
 		}
@@ -240,13 +240,17 @@ func (rs *runState) emitOutputs(sel *gsql.SelectExpr, bt *bindingTable, assignTo
 	return nil
 }
 
-func distinctColumn(bt *bindingTable, col int) []graph.VID {
-	seen := map[graph.VID]bool{}
+// distinctColumn returns the distinct vertices of one binding column
+// in first-appearance order, deduplicating through a bitset over the
+// snapshot's n vertex ids.
+func distinctColumn(bt *bindingTable, col, n int) []graph.VID {
+	seen := make([]uint64, (n+63)/64)
 	var out []graph.VID
 	for _, row := range bt.rows {
 		v := row.verts[col]
-		if !seen[v] {
-			seen[v] = true
+		w, bit := v/64, uint64(1)<<(v%64)
+		if seen[w]&bit == 0 {
+			seen[w] |= bit
 			out = append(out, v)
 		}
 	}
@@ -262,7 +266,7 @@ func (rs *runState) emitVertexSet(sel *gsql.SelectExpr, bt *bindingTable, assign
 	if !ok {
 		return fmt.Errorf("SELECT %s: %q is not a pattern alias", alias, alias)
 	}
-	ids := distinctColumn(bt, col)
+	ids := distinctColumn(bt, col, rs.g.NumVertices())
 	if len(sel.OrderBy) > 0 {
 		keys := make([][]value.Value, len(ids))
 		for i, v := range ids {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"gsqlgo/internal/accum"
 	"gsqlgo/internal/graph"
@@ -21,7 +22,11 @@ type runState struct {
 	// goes through it, so the run observes one consistent epoch even
 	// while the head graph is being mutated concurrently.
 	g *graph.Graph
-	q *gsql.Query
+	// csrOnce/csr resolve the snapshot's frozen CSR at most once per
+	// run, on first use; see adjacency.
+	csrOnce sync.Once
+	csr     *graph.CSR
+	q       *gsql.Query
 	// ctx/done drive cooperative cancellation. done is ctx.Done(),
 	// cached because it is polled in hot loops; nil (context.Background)
 	// means the checks compile down to one predictable branch.
@@ -213,6 +218,24 @@ func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, plan *queryPlan, args
 		}
 	}
 	return rs, nil
+}
+
+// adjacency returns the run snapshot's frozen CSR, freezing it on the
+// first call of the run. Typed single hops and degree reads walk its
+// (Type, Dir) segments; it is safe to call from parallel workers.
+func (rs *runState) adjacency() *graph.CSR {
+	rs.csrOnce.Do(func() { rs.csr = rs.g.Freeze() })
+	return rs.csr
+}
+
+// outDegreeByName is v.outdegree("T") for an edge type named at run
+// time; a type the schema does not have counts 0.
+func (rs *runState) outDegreeByName(v graph.VID, edgeType string) int {
+	et := rs.g.Schema.EdgeType(edgeType)
+	if et == nil {
+		return 0
+	}
+	return rs.adjacency().OutDegreeOfType(v, et.ID)
 }
 
 // checkCancel is the interpreter's cooperative cancellation

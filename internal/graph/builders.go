@@ -325,6 +325,64 @@ func BuildLinkedInGraph(cfg LinkedInConfig) *Graph {
 	return g
 }
 
+// BuildRandomChurnGraph grows a BuildRandomMixedGraph-schema graph by
+// interleaved vertex and edge inserts under a low fold threshold, so
+// its CSRs take every Freeze path: a folded base, a patched CSR over
+// post-fold delta edges (some at post-fold vertices), and a private
+// build for a snapshot pinned before the last fold. Edges land on a
+// few hot vertices, so there are parallel edges, and some are
+// directed or undirected self-loops. It returns the head, whose
+// snapshot carries post-fold delta edges, and the pinned snapshot.
+// Neither has been frozen.
+func BuildRandomChurnGraph(seed int64) (head, pinned *Graph) {
+	g := BuildRandomMixedGraph(0, 0, seed)
+	r := rand.New(rand.NewSource(seed))
+	threshold := 8 + r.Intn(8)
+	g.SetFoldThreshold(threshold)
+	types := []string{"D1", "D2", "U"}
+	addVertex := func() {
+		name := strconv.Itoa(g.NumVertices())
+		mustVID(g.AddVertex("V", name, map[string]value.Value{"name": value.NewString(name)}))
+	}
+	addEdge := func() {
+		n := g.NumVertices()
+		hot := min(n, 3) // a few hot vertices collect parallel edges
+		a, b := VID(r.Intn(n)), VID(r.Intn(hot))
+		switch r.Intn(6) {
+		case 0:
+			b = a // self-loop
+		case 1:
+			a, b = b, a
+		}
+		mustEID(g.AddEdge(types[r.Intn(len(types))], a, b, nil))
+	}
+	for i := 0; i < 4; i++ {
+		addVertex()
+	}
+	steps := 3*threshold + r.Intn(4*threshold)
+	pinAt := threshold + r.Intn(threshold)
+	for i := 0; i < steps; i++ {
+		if i == pinAt {
+			pinned = g.Snapshot()
+		}
+		if r.Intn(5) == 0 {
+			addVertex()
+		} else {
+			addEdge()
+		}
+	}
+	// A fold point after the pin, then a delta smaller than the base:
+	// one post-fold vertex and a few edges, some at that vertex.
+	g.Fold()
+	g.SetFoldThreshold(-1)
+	addVertex()
+	for i := 0; i < 1+r.Intn(threshold); i++ {
+		addEdge()
+	}
+	mustEID(g.AddEdge(types[r.Intn(len(types))], VID(g.NumVertices()-1), VID(r.Intn(g.NumVertices())), nil))
+	return g, pinned
+}
+
 // BuildRandomMixedGraph constructs a random graph mixing directed and
 // undirected edge types, used by property tests that compare the
 // polynomial path-counting engine against brute-force enumeration.

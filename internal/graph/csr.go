@@ -6,24 +6,29 @@ import (
 
 // CSR is a frozen compressed-sparse-row view of a graph's adjacency:
 // every half-edge of every vertex in one flat array, grouped by vertex
-// and, within a vertex, sorted by (Type, Dir). It exists for the hot
-// traversal kernels (the SDMC counter of internal/match): a flat array
-// walks sequentially through memory where per-vertex adjacency lists
-// chase one pointer per vertex, and the (Type, Dir) sort lets a kernel
-// resolve one DFA transition per segment instead of one per half-edge.
+// and, within a vertex, sorted by (Type, Dir, Edge). It serves every
+// hot adjacency read: the SDMC counter of internal/match, typed single
+// hops and degree reads in internal/core. A flat array walks
+// sequentially through memory where per-vertex adjacency lists chase
+// one pointer per vertex, and the (Type, Dir) segments let a kernel
+// resolve one DFA transition per segment instead of one per half-edge,
+// and let a typed hop or degree read touch only the half-edges of its
+// edge type. Edge ids ascend in insertion order, so one (Type, Dir)
+// segment is exactly Graph.Neighbors' sublist of that type and
+// direction, in the same order.
 //
 // A CSR is immutable once built and safe for concurrent readers. Under
 // MVCC a CSR belongs to one snapshot horizon. To avoid rebuilding the
 // whole array on every mutation, a lineage keeps one canonical *base*
 // CSR built at the last fold point; a snapshot taken past the fold
 // point gets a *patched* CSR that shares the base arrays untouched and
-// adds dense ext arrays covering only the delta edges. Kernels iterate
-// base segments first, then (when HasExt reports true) ext segments —
-// the counts they produce are order-independent, so the split run is
-// equivalent to a canonical build.
+// adds dense ext arrays covering only the delta edges. Every base edge
+// has a lower id than every delta edge, so walking a segment's base
+// run and then its ext run (Run) keeps edge-id order on a patched CSR
+// too.
 type CSR struct {
 	offsets []int32    // len baseV+1; halves[offsets[v]:offsets[v+1]] is v's base adjacency
-	halves  []HalfEdge // base half-edges, grouped by vertex, (Type, Dir)-sorted per vertex
+	halves  []HalfEdge // base half-edges, grouped by vertex, (Type, Dir, Edge)-sorted per vertex
 	segOff  []int32    // len baseV+1; segs[segOff[v]:segOff[v+1]] are v's base segments
 	segs    []Seg      // per-vertex runs of equal (Type, Dir)
 
@@ -58,7 +63,7 @@ func (c *CSR) NumHalfEdges() int { return len(c.halves) + len(c.extHalves) }
 // CSR); kernels then also walk ExtSegments.
 func (c *CSR) HasExt() bool { return c.extOff != nil }
 
-// Neighbors returns v's adjacency sorted by (Type, Dir). For a
+// Neighbors returns v's adjacency sorted by (Type, Dir, Edge). For a
 // canonical CSR this is a subslice of the flat array; for a patched
 // CSR with delta half-edges at v it allocates a concatenation. The
 // result must not be mutated.
@@ -107,6 +112,67 @@ func (c *CSR) ExtSegments(v VID) []Seg {
 // ExtHalfEdges returns the delta half-edges covered by one ext
 // segment.
 func (c *CSR) ExtHalfEdges(s Seg) []HalfEdge { return c.extHalves[s.Start:s.End] }
+
+// Run returns v's half-edges of one (Type, Dir): the base run, then
+// the ext run of a patched CSR (nil for a canonical one). Read base
+// and then ext, they are g.Neighbors(v) filtered to that type and
+// direction, in the same order. Neither slice may be mutated.
+func (c *CSR) Run(v VID, typ int16, d Dir) (base, ext []HalfEdge) {
+	if s, ok := findSeg(c.Segments(v), typ, d); ok {
+		base = c.halves[s.Start:s.End]
+	}
+	if s, ok := findSeg(c.ExtSegments(v), typ, d); ok {
+		ext = c.extHalves[s.Start:s.End]
+	}
+	return base, ext
+}
+
+// findSeg returns the segment of one (Type, Dir) in a vertex's
+// (Type, Dir)-sorted segment list.
+func findSeg(segs []Seg, typ int16, d Dir) (Seg, bool) {
+	for _, s := range segs {
+		if s.Type == typ && s.Dir == d {
+			return s, true
+		}
+		if s.Type > typ || (s.Type == typ && s.Dir > d) {
+			break
+		}
+	}
+	return Seg{}, false
+}
+
+// Degree returns the number of half-edges incident to v.
+func (c *CSR) Degree(v VID) int {
+	n := 0
+	if int(v) < len(c.offsets)-1 {
+		n = int(c.offsets[v+1] - c.offsets[v])
+	}
+	if c.extOff != nil {
+		n += int(c.extOff[v+1] - c.extOff[v])
+	}
+	return n
+}
+
+// OutDegree returns the number of edges leaving v: outgoing directed
+// edges plus incident undirected edges (TigerGraph's outdegree()).
+func (c *CSR) OutDegree(v VID) int { return c.outDegree(v, -1) }
+
+// OutDegreeOfType is OutDegree restricted to one edge-type id.
+func (c *CSR) OutDegreeOfType(v VID, typeID int) int { return c.outDegree(v, typeID) }
+
+// outDegree sums the lengths of v's non-incoming segments, over base
+// and ext, of edge type typeID (any type when typeID < 0).
+func (c *CSR) outDegree(v VID, typeID int) int {
+	n := 0
+	for _, segs := range [2][]Seg{c.Segments(v), c.ExtSegments(v)} {
+		for _, s := range segs {
+			if s.Dir != DirIn && (typeID < 0 || int(s.Type) == typeID) {
+				n += int(s.End - s.Start)
+			}
+		}
+	}
+	return n
+}
 
 // Freeze returns the CSR for g's snapshot horizon, building it on
 // first use. The lineage caches two CSRs: the canonical base at the
@@ -242,7 +308,7 @@ func buildPatchedCSR(base *CSR, baseE int, v *Graph) *CSR {
 }
 
 // sortHalves orders one vertex's half-edges canonically: by (Type,
-// Dir), then by endpoint and edge id for a deterministic layout.
+// Dir), then by edge id, so each segment keeps insertion order.
 func sortHalves(own []HalfEdge) {
 	slices.SortFunc(own, func(a, b HalfEdge) int {
 		if a.Type != b.Type {
@@ -250,9 +316,6 @@ func sortHalves(own []HalfEdge) {
 		}
 		if a.Dir != b.Dir {
 			return int(a.Dir) - int(b.Dir)
-		}
-		if a.To != b.To {
-			return int(a.To) - int(b.To)
 		}
 		return int(a.Edge) - int(b.Edge)
 	})

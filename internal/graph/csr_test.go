@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gsqlgo/internal/value"
@@ -168,5 +170,76 @@ func TestFreezeEmptyGraph(t *testing.T) {
 	c := g.Freeze()
 	if c.NumVertices() != 0 || c.NumHalfEdges() != 0 {
 		t.Fatalf("empty graph CSR: %d vertices, %d halves", c.NumVertices(), c.NumHalfEdges())
+	}
+}
+
+// checkSegmentRuns compares every (vertex, Type, Dir) run of c with
+// g.Neighbors filtered to that type and direction, in order, and the
+// CSR degree methods with half-edge counts taken from g.Neighbors.
+func checkSegmentRuns(t *testing.T, what string, g *Graph, c *CSR) {
+	t.Helper()
+	nTypes := len(g.Schema.EdgeTypes())
+	for v := VID(0); int(v) < g.NumVertices(); v++ {
+		adj := g.Neighbors(v)
+		out := 0
+		for typ := 0; typ < nTypes; typ++ {
+			outOfType := 0
+			for _, d := range []Dir{DirOut, DirIn, DirUndir} {
+				var want []HalfEdge
+				for _, h := range adj {
+					if int(h.Type) == typ && h.Dir == d {
+						want = append(want, h)
+					}
+				}
+				base, ext := c.Run(v, int16(typ), d)
+				got := append(append([]HalfEdge(nil), base...), ext...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: v%d type %d dir %v: run %v (base %d + ext %d), Neighbors filtered %v",
+						what, v, typ, d, got, len(base), len(ext), want)
+				}
+				if d != DirIn {
+					outOfType += len(want)
+				}
+			}
+			if got := c.OutDegreeOfType(v, typ); got != outOfType {
+				t.Fatalf("%s: v%d OutDegreeOfType(%d) = %d, want %d", what, v, typ, got, outOfType)
+			}
+			out += outOfType
+		}
+		if got := c.OutDegree(v); got != out {
+			t.Fatalf("%s: v%d OutDegree = %d, want %d", what, v, got, out)
+		}
+		if got := c.Degree(v); got != len(adj) {
+			t.Fatalf("%s: v%d Degree = %d, want %d", what, v, got, len(adj))
+		}
+	}
+}
+
+// TestCSRSegmentsMatchNeighbors pins the order contract typed hops and
+// degree reads rely on: a (Type, Dir) run, base then ext, is exactly
+// Graph.Neighbors' sublist of that type and direction. The graphs fold
+// often and carry parallel edges and both kinds of self-loop; each is
+// checked through a patched CSR (post-fold delta edges) and through a
+// snapshot pinned before its last fold.
+func TestCSRSegmentsMatchNeighbors(t *testing.T) {
+	patched, private := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		g, pinned := BuildRandomChurnGraph(seed)
+		snap := g.Snapshot()
+		c := snap.Freeze()
+		if c.HasExt() {
+			patched++
+		}
+		csrInvariants(t, snap, c)
+		checkSegmentRuns(t, fmt.Sprintf("seed %d head", seed), snap, c)
+		if pinned.NumEdges() < g.MVCCStats().BaseEdges {
+			private++
+		}
+		pc := pinned.Freeze()
+		csrInvariants(t, pinned, pc)
+		checkSegmentRuns(t, fmt.Sprintf("seed %d pinned", seed), pinned, pc)
+	}
+	if patched == 0 || private == 0 {
+		t.Fatalf("paths not exercised: %d patched CSRs, %d pinned-before-fold snapshots", patched, private)
 	}
 }

@@ -433,26 +433,5 @@ func (g *Graph) OutDegree(v VID) int {
 	return n
 }
 
-// OutDegreeByType is OutDegree restricted to one edge type.
-func (g *Graph) OutDegreeByType(v VID, edgeType string) int {
-	et := g.Schema.EdgeType(edgeType)
-	if et == nil {
-		return 0
-	}
-	return g.OutDegreeOfType(v, et.ID)
-}
-
-// OutDegreeOfType is OutDegreeByType for an edge-type id already
-// resolved against the schema.
-func (g *Graph) OutDegreeOfType(v VID, typeID int) int {
-	n := 0
-	for _, h := range g.Neighbors(v) {
-		if int(h.Type) == typeID && (h.Dir == DirOut || h.Dir == DirUndir) {
-			n++
-		}
-	}
-	return n
-}
-
 // Degree returns the total number of incident half-edges of v.
 func (g *Graph) Degree(v VID) int { return len(g.Neighbors(v)) }

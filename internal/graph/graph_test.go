@@ -142,11 +142,21 @@ func TestVertexAndEdgeCRUD(t *testing.T) {
 	if d := g.OutDegree(alice); d != 2 {
 		t.Errorf("OutDegree(alice) = %d, want 2", d)
 	}
-	if d := g.OutDegreeByType(alice, "LivesIn"); d != 1 {
-		t.Errorf("OutDegreeByType(alice, LivesIn) = %d, want 1", d)
+	c := g.Freeze()
+	if d := c.OutDegree(alice); d != 2 {
+		t.Errorf("CSR OutDegree(alice) = %d, want 2", d)
 	}
-	if d := g.OutDegreeOfType(alice, g.Schema.EdgeType("Knows").ID); d != 1 {
-		t.Errorf("OutDegreeOfType(alice, Knows) = %d, want 1", d)
+	if d := c.OutDegreeOfType(alice, g.Schema.EdgeType("LivesIn").ID); d != 1 {
+		t.Errorf("CSR OutDegreeOfType(alice, LivesIn) = %d, want 1", d)
+	}
+	if d := c.OutDegreeOfType(alice, g.Schema.EdgeType("Knows").ID); d != 1 {
+		t.Errorf("CSR OutDegreeOfType(alice, Knows) = %d, want 1", d)
+	}
+	if d := c.OutDegreeOfType(nyc, g.Schema.EdgeType("LivesIn").ID); d != 0 {
+		t.Errorf("CSR OutDegreeOfType(nyc, LivesIn) = %d, want 0 (only incoming)", d)
+	}
+	if d := c.Degree(nyc); d != 2 {
+		t.Errorf("CSR Degree(nyc) = %d, want 2", d)
 	}
 	if d := g.OutDegree(nyc); d != 0 {
 		t.Errorf("OutDegree(nyc) = %d, want 0 (only incoming)", d)

@@ -202,11 +202,11 @@ func CountExists(g *graph.Graph, d *darpe.DFA, src graph.VID) (*Counts, error) {
 // every reached target's multiplicity becomes 1 (and saturation is
 // moot). It lets callers who already ran the counting kernel (e.g. via
 // SourceCounter) derive ShortestExists results without a second BFS.
+// It walks Reached, the targets with Dist >= 0, so it costs
+// O(reached), not O(V).
 func Existsify(c *Counts) {
-	for t := range c.Mult {
-		if c.Dist[t] >= 0 {
-			c.Mult[t] = 1
-		}
+	for _, t := range c.Reached {
+		c.Mult[t] = 1
 	}
 	c.Saturated = false
 }

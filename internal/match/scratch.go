@@ -14,7 +14,6 @@ import (
 // per-source run costs one epoch increment instead of an O(V·Q)
 // re-clear, and the steady-state kernel allocates nothing.
 type scratch struct {
-	n     int // product-space size this scratch serves (the pool key)
 	epoch uint32
 	stamp []uint32 // visitation epoch per product node
 	dist  []int32  // BFS layer; valid iff stamp matches epoch
@@ -28,34 +27,39 @@ type scratch struct {
 	reached []graph.VID
 }
 
-// scratchPools pools scratches by product-space size class, so
-// concurrent queries over differently sized (graph, DFA) pairs never
-// hand each other under-sized buffers: map[int]*sync.Pool.
-var scratchPools sync.Map
+// scratchPool holds scratches of any size. A run over an n-node
+// product space uses only the first n entries of each array, so one
+// scratch serves every product no larger than it, and a growing graph
+// adds no size class.
+var scratchPool sync.Pool
 
-func poolFor(n int) *sync.Pool {
-	if p, ok := scratchPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := scratchPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// getScratch fetches (or makes) a scratch for an n-node product space.
+// getScratch fetches a pooled scratch fitted to an n-node product
+// space.
 func getScratch(n int) *scratch {
-	if s, ok := poolFor(n).Get().(*scratch); ok {
-		return s
-	}
-	return &scratch{
-		n:     n,
-		stamp: make([]uint32, n),
-		dist:  make([]int32, n),
-		cnt:   make([]uint64, n),
-	}
+	s, _ := scratchPool.Get().(*scratch)
+	return s.fit(n)
 }
 
-// putScratch returns a scratch to its size class for reuse.
-func putScratch(s *scratch) { poolFor(s.n).Put(s) }
+// fit returns s (a fresh scratch when s is nil) covering an n-node
+// product space. A scratch that is too small keeps its frontier
+// buffers and gets fresh zeroed arrays with an eighth of headroom, so
+// a graph growing by a few vertices per write does not reallocate them
+// on the next run after every write.
+func (s *scratch) fit(n int) *scratch {
+	if s == nil {
+		s = new(scratch)
+	}
+	if len(s.stamp) < n {
+		size := n + n/8
+		s.stamp = make([]uint32, size)
+		s.dist = make([]int32, size)
+		s.cnt = make([]uint64, size)
+	}
+	return s
+}
+
+// putScratch returns a scratch to the pool for reuse.
+func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // nextEpoch opens a fresh visitation epoch, invalidating every stamp
 // at once. On uint32 wraparound the stamps are cleared for real so a
