@@ -11,12 +11,27 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// This file is the install-time compiler for WHERE, ACCUM and
-// POST-ACCUM clauses. It lowers each ACCUM / POST-ACCUM clause into a
-// kprogram — a flat instruction sequence over closure-compiled
-// expressions — and each WHERE predicate into one such expression over
-// a slot-only kprogram of its own, so the per-row hot loops of the
-// filter and the ACCUM phase run with no AST walking, no per-row map
+// This file is the install-time compiler, and compiler.expr is the
+// engine's only expression evaluator. It lowers each ACCUM /
+// POST-ACCUM clause into a kprogram — a flat instruction sequence over
+// closure-compiled expressions — and every other expression into one
+// such expression over a slot-only kprogram of its own. A WHERE
+// predicate binds like ACCUM; every other expression binds per
+// evaluation in one of four scopes:
+//
+//   - statement: IF/WHILE conditions, WHILE LIMITs, assignments,
+//     FOREACH collections, PRINT and RETURN items, declaration
+//     initialisers and SELECT LIMITs; names resolve as run locals,
+//     then parameters;
+//   - vertex: PRINT R[...] projections and the ORDER BY of an
+//     S = SELECT v block; the set or alias name is the current vertex;
+//   - row: SELECT items and ORDER BY keys, GROUP BY keys and aggregate
+//     arguments; names resolve against the binding row first;
+//   - group: HAVING and the items and ORDER BY keys of a grouped
+//     SELECT; a GROUP BY key reads the group's key value and an
+//     aggregate call its folded value.
+//
+// So the hot loops run with no AST walking, no per-row map
 // construction for alias environments, no per-name map lookups
 // (identifiers resolve through pre-bound slots) and no attribute
 // lookups by name (attribute references carry per-type column offsets
@@ -25,12 +40,12 @@ import (
 // so Sum/Min/Max/Avg/Or/And over INT/FLOAT/BOOL stage their deltas in
 // flat cells instead of boxed Accumulators.
 //
-// The compiler is total: every clause compiles, and this is the only
-// executor production runs. Constructs the interpreter rejects compile
-// to expressions or instructions that raise its error text if and when
-// they execute, so compilation can never fail an install. The
-// tree-walking interpreter survives only as the differential oracle in
-// interp_test.go.
+// The compiler is total: every clause and expression compiles, and
+// this is the only executor production runs. Constructs the
+// interpreter rejects compile to expressions or instructions that
+// raise its error text if and when they execute, so compilation can
+// never fail an install. The tree-walking interpreter survives only as
+// the differential oracle in interp_test.go.
 //
 // On top of per-clause compilation, compileQuery runs a fusion pass:
 // consecutive SELECT blocks sharing an identical FROM pattern and
@@ -47,6 +62,9 @@ type queryPlan struct {
 	// fusion maps the FIRST statement of each fused run of consecutive
 	// SELECT blocks to its group; execStmts dispatches on it.
 	fusion map[gsql.Stmt]*fusionGroup
+	// exprs maps each statement-scope expression to its compiled form,
+	// and the set name of each PRINT R[...] item to its projections.
+	exprs map[gsql.Expr]*exprList
 }
 
 // compiledSelect holds the compiled clauses of one SELECT block. acc
@@ -59,6 +77,42 @@ type compiledSelect struct {
 	// global-snapshot and vertex-store slots it reads.
 	where     *cexpr
 	whereProg *kprogram
+	// order is the vertex-scope ORDER BY of an S = SELECT v block.
+	order *exprList
+	// outs holds a standalone block's outputs, one per INTO, in group
+	// scope when grouped and in row scope otherwise.
+	outs    []*compiledOutput
+	grouped bool
+}
+
+// exprList is a list of expressions compiled over one slot-only
+// kprogram, so one bind serves them all.
+type exprList struct {
+	p   *kprogram
+	fns []*cexpr
+}
+
+// compiledOutput is one INTO output of a standalone SELECT block, all
+// its expressions compiled over one program. order has one entry per
+// ORDER BY key, nil where the key names an item alias.
+type compiledOutput struct {
+	p     *kprogram
+	items []*cexpr
+	order []*cexpr
+	// A grouped output's HAVING, items and ORDER BY keys read group
+	// scope; its GROUP BY keys and aggregate arguments read row scope.
+	having  *cexpr
+	groupBy []gsql.Expr
+	keys    []*cexpr
+	aggs    []aggSlot
+}
+
+// aggSlot is one aggregate call of a grouped output; the group-scope
+// compiler numbers them in the order it meets them. arg is nil for
+// the * argument.
+type aggSlot struct {
+	call *gsql.Call
+	arg  *cexpr
 }
 
 // fusionGroup is a run of ≥2 consecutive SELECT blocks proven to share
@@ -79,6 +133,7 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 	p := &queryPlan{
 		selects: map[*gsql.SelectExpr]*compiledSelect{},
 		fusion:  map[gsql.Stmt]*fusionGroup{},
+		exprs:   map[gsql.Expr]*exprList{},
 	}
 	base := compiler{
 		e:      e,
@@ -86,33 +141,73 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 		vdecls: map[string]*accum.Spec{},
 		params: map[string]value.Kind{},
 	}
+	for _, prm := range q.Params {
+		base.params[prm.Name] = prm.Type.Kind
+	}
+	// Statement-scope expressions compile lazily. A declaration's
+	// initialiser sees only the accumulators declared before it, as the
+	// run creates them in order (stmt shares base's declaration maps).
+	stmt := base
+	stmt.lazy = true
 	for _, d := range q.Decls {
+		if d.Init != nil {
+			p.exprs[d.Init] = stmt.compileList(d.Init)
+		}
 		if d.Global {
 			base.gdecls[d.Name] = d.Spec
 		} else {
 			base.vdecls[d.Name] = d.Spec
 		}
 	}
-	for _, prm := range q.Params {
-		base.params[prm.Name] = prm.Type.Kind
+	compileStmt := func(exprs ...gsql.Expr) {
+		for _, e := range exprs {
+			if e != nil {
+				p.exprs[e] = stmt.compileList(e)
+			}
+		}
 	}
 	var doStmts func(stmts []gsql.Stmt)
 	doStmts = func(stmts []gsql.Stmt) {
 		for _, s := range stmts {
 			switch n := s.(type) {
 			case *gsql.SelectStmt:
-				p.selects[n.Sel] = base.compileSelect(n.Sel)
+				p.selects[n.Sel] = base.compileSelect(n.Sel, false)
+				compileStmt(n.Sel.Limit)
 			case *gsql.AssignStmt:
-				if sel, ok := n.Rhs.(*gsql.SelectExpr); ok {
-					p.selects[sel] = base.compileSelect(sel)
+				switch rhs := n.Rhs.(type) {
+				case *gsql.SelectExpr:
+					p.selects[rhs] = base.compileSelect(rhs, true)
+					compileStmt(rhs.Limit)
+				case *gsql.VSetLit, *gsql.SetOpExpr:
+				default:
+					compileStmt(rhs)
 				}
+			case *gsql.AccAssignStmt:
+				compileStmt(n.Rhs)
 			case *gsql.WhileStmt:
+				compileStmt(n.Cond, n.Limit)
 				doStmts(n.Body)
 			case *gsql.IfStmt:
+				compileStmt(n.Cond)
 				doStmts(n.Then)
 				doStmts(n.Else)
 			case *gsql.ForeachStmt:
+				compileStmt(n.Coll)
 				doStmts(n.Body)
+			case *gsql.PrintStmt:
+				for _, item := range n.Items {
+					if item.Projections == nil {
+						compileStmt(item.Expr)
+						continue
+					}
+					exprs := make([]gsql.Expr, len(item.Projections))
+					for i, pr := range item.Projections {
+						exprs[i] = pr.Expr
+					}
+					p.exprs[item.Expr] = stmt.compileList(exprs...)
+				}
+			case *gsql.ReturnStmt:
+				compileStmt(n.Expr)
 			}
 		}
 		fuseStmts(p, stmts)
@@ -122,8 +217,10 @@ func compileQuery(e *Engine, q *gsql.Query) *queryPlan {
 }
 
 // compileSelect compiles one block's clauses, each with a fresh
-// compiler derived from the query-level base.
-func (base compiler) compileSelect(sel *gsql.SelectExpr) *compiledSelect {
+// compiler derived from the query-level base, and the expressions its
+// outputs evaluate: the vertex-scope ORDER BY of an S = SELECT v block
+// (assign), else each INTO output.
+func (base compiler) compileSelect(sel *gsql.SelectExpr, assign bool) *compiledSelect {
 	cs := &compiledSelect{
 		acc:  base.compileClause(sel.Accum, false),
 		post: base.compileClause(sel.PostAccum, true),
@@ -133,7 +230,96 @@ func (base compiler) compileSelect(sel *gsql.SelectExpr) *compiledSelect {
 		c.p = newKprogram(false)
 		cs.where, cs.whereProg = c.expr(sel.Where), c.p
 	}
+	out := base
+	out.lazy = true
+	if assign {
+		keys := make([]gsql.Expr, len(sel.OrderBy))
+		for i, k := range sel.OrderBy {
+			keys[i] = k.Expr
+		}
+		cs.order = out.compileList(keys...)
+		return cs
+	}
+	cs.grouped = len(sel.GroupBy) > 0 || hasAggregates(sel)
+	for oi := range sel.Outputs {
+		cs.outs = append(cs.outs, out.compileOutput(sel, &sel.Outputs[oi], cs.grouped))
+	}
 	return cs
+}
+
+// compileList compiles exprs over one fresh slot-only program.
+func (base compiler) compileList(exprs ...gsql.Expr) *exprList {
+	c := base
+	c.p = newKprogram(false)
+	x := &exprList{p: c.p, fns: make([]*cexpr, len(exprs))}
+	for i, e := range exprs {
+		x.fns[i] = c.expr(e)
+	}
+	return x
+}
+
+// compileOutput compiles one INTO output of a standalone block. The
+// items compile first, then HAVING, then the ORDER BY keys: the order
+// in which the group-scope compiler numbers the aggregates, and so the
+// order in which each row feeds them.
+func (base compiler) compileOutput(sel *gsql.SelectExpr, out *gsql.SelectOutput, grouped bool) *compiledOutput {
+	c := base
+	c.p = newKprogram(false)
+	co := &compiledOutput{p: c.p}
+	if grouped {
+		row := c
+		co.groupBy = sel.GroupBy
+		for _, k := range sel.GroupBy {
+			co.keys = append(co.keys, row.expr(k))
+		}
+		c.grp = &groupScope{row: &row, keys: sel.GroupBy, aggs: &co.aggs}
+	}
+	for _, item := range out.Items {
+		co.items = append(co.items, c.expr(item.Expr))
+	}
+	if grouped && sel.Having != nil {
+		co.having = c.expr(sel.Having)
+	}
+	for _, k := range sel.OrderBy {
+		var ce *cexpr
+		if itemAliasIndex(out.Items, k.Expr) < 0 {
+			ce = c.expr(k.Expr)
+		}
+		co.order = append(co.order, ce)
+	}
+	return co
+}
+
+// groupScope is the group-scope compiler's state: the row-scope
+// compiler over the same program (for aggregate arguments), the GROUP
+// BY keys and the aggregate slots numbered so far.
+type groupScope struct {
+	row  *compiler
+	keys []gsql.Expr
+	aggs *[]aggSlot
+}
+
+// groupExpr compiles the two group-scope rules, which come before
+// every other at every node: a subexpression equal to a GROUP BY key
+// reads the group's value of that key, and an aggregate call reads its
+// slot's folded value. It returns nil for any other expression.
+func (c *compiler) groupExpr(e gsql.Expr) *cexpr {
+	for i, key := range c.grp.keys {
+		if gsql.ExprEqual(e, key) {
+			return dynExpr(func(k *kctx) (value.Value, error) { return k.grp.keyVals[i], nil })
+		}
+	}
+	call, ok := e.(*gsql.Call)
+	if !ok || !isAggregateCall(call) {
+		return nil
+	}
+	slot := aggSlot{call: call}
+	if id, ok := call.Args[0].(*gsql.Ident); !ok || id.Name != "*" {
+		slot.arg = c.grp.row.expr(call.Args[0])
+	}
+	j := len(*c.grp.aggs)
+	*c.grp.aggs = append(*c.grp.aggs, slot)
+	return dynExpr(func(k *kctx) (value.Value, error) { return k.grp.aggs[j].Value(), nil })
 }
 
 // ---- clause compilation ------------------------------------------------------
@@ -145,6 +331,13 @@ type compiler struct {
 	vdecls map[string]*accum.Spec
 	params map[string]value.Kind // declared parameter kinds
 	p      *kprogram
+	// lazy reads a global accumulator when its node evaluates, not
+	// from a snapshot taken at bind: statement and output scopes,
+	// where a short-circuited operand or an untaken CASE arm must not
+	// materialise the accumulator. Clauses snapshot.
+	lazy bool
+	// grp is set while compiling group-scope expressions.
+	grp *groupScope
 }
 
 // compileClause lowers one ACCUM (post=false) or POST-ACCUM (post=true)
@@ -293,6 +486,11 @@ func dynExpr(fn func(*kctx) (value.Value, error)) *cexpr { return &cexpr{fn: fn}
 
 // expr compiles one expression; it never returns nil.
 func (c *compiler) expr(e gsql.Expr) *cexpr {
+	if c.grp != nil {
+		if ce := c.groupExpr(e); ce != nil {
+			return ce
+		}
+	}
 	switch n := e.(type) {
 	case *gsql.Lit:
 		return constExpr(n.Val)
@@ -301,6 +499,10 @@ func (c *compiler) expr(e gsql.Expr) *cexpr {
 	case *gsql.GlobalAccRef:
 		if _, ok := c.gdecls[n.Name]; !ok {
 			return errExpr(fmt.Errorf("undeclared global accumulator @@%s", n.Name))
+		}
+		if c.lazy {
+			name := n.Name
+			return dynExpr(func(k *kctx) (value.Value, error) { return k.rs.globals[name].Value(), nil })
 		}
 		gi := c.p.gsnapSlot(n.Name)
 		return dynExpr(func(k *kctx) (value.Value, error) { return k.b.gsnap[gi], nil })
@@ -551,7 +753,7 @@ func (c *compiler) callExpr(n *gsql.Call) *cexpr {
 			return constExpr(v)
 		}
 	}
-	return dynExpr(func(k *kctx) (value.Value, error) {
+	call := dynExpr(func(k *kctx) (value.Value, error) {
 		vals := make([]value.Value, len(args))
 		for i, a := range args {
 			v, err := a.fn(k)
@@ -562,6 +764,26 @@ func (c *compiler) callExpr(n *gsql.Call) *cexpr {
 		}
 		return evalBuiltin(name, vals)
 	})
+	// size(@@acc) counts the accumulator's container (accum.Size)
+	// rather than materialising, sorting and then counting its value,
+	// in every scope but group scope, where a GROUP BY key could stand
+	// for the argument. A container accum.Size declines to count takes
+	// the general path.
+	if len(n.Args) != 1 || lower(name) != "size" || c.grp != nil {
+		return call
+	}
+	if ref, ok := n.Args[0].(*gsql.GlobalAccRef); ok {
+		if _, declared := c.gdecls[ref.Name]; declared {
+			acc := ref.Name
+			return dynExpr(func(k *kctx) (value.Value, error) {
+				if sz, ok := accum.Size(k.rs.globals[acc]); ok {
+					return value.NewInt(int64(sz)), nil
+				}
+				return call.fn(k)
+			})
+		}
+	}
+	return call
 }
 
 func (c *compiler) methodExpr(n *gsql.Call) *cexpr {

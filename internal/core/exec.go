@@ -21,7 +21,7 @@ func (rs *runState) execStmts(stmts []gsql.Stmt) (bool, error) {
 		}
 		// A statement opening a fused run executes the whole group —
 		// one traversal feeding every block — and skips its members.
-		if clauseOracle == nil {
+		if oracle == nil {
 			if g, ok := rs.plan.fusion[s]; ok {
 				if err := rs.runFusedGroup(g); err != nil {
 					return false, err
@@ -41,6 +41,16 @@ func (rs *runState) execStmts(stmts []gsql.Stmt) (bool, error) {
 	return false, nil
 }
 
+// evalStmt evaluates a statement-scope expression: a condition, a
+// right-hand side, a FOREACH collection, a PRINT or RETURN item, an
+// initialiser or a LIMIT.
+func (rs *runState) evalStmt(e gsql.Expr) (value.Value, error) {
+	x := rs.plan.exprs[e]
+	k := rs.bindScope(x.p, nil, "")
+	defer x.p.putBind(k.b)
+	return k.eval(e, x.fns[0])
+}
+
 func (rs *runState) execStmt(s gsql.Stmt) (bool, error) {
 	switch n := s.(type) {
 	case *gsql.AssignStmt:
@@ -52,7 +62,7 @@ func (rs *runState) execStmt(s gsql.Stmt) (bool, error) {
 	case *gsql.WhileStmt:
 		return rs.execWhile(n)
 	case *gsql.IfStmt:
-		cond, err := rs.eval(n.Cond, rs.baseEnv())
+		cond, err := rs.evalStmt(n.Cond)
 		if err != nil {
 			return false, err
 		}
@@ -100,7 +110,7 @@ func (rs *runState) execAssign(n *gsql.AssignStmt) error {
 		rs.setVSet(n.Name, ids)
 		return nil
 	default:
-		v, err := rs.eval(rhs, rs.baseEnv())
+		v, err := rs.evalStmt(rhs)
 		if err != nil {
 			return err
 		}
@@ -118,7 +128,7 @@ func (rs *runState) execAccAssign(n *gsql.AccAssignStmt) error {
 	if !exists {
 		return fmt.Errorf("undeclared global accumulator @@%s", ref.Name)
 	}
-	v, err := rs.eval(n.Rhs, rs.baseEnv())
+	v, err := rs.evalStmt(n.Rhs)
 	if err != nil {
 		return err
 	}
@@ -131,7 +141,7 @@ func (rs *runState) execAccAssign(n *gsql.AccAssignStmt) error {
 func (rs *runState) execWhile(n *gsql.WhileStmt) (bool, error) {
 	limit := int64(-1)
 	if n.Limit != nil {
-		lv, err := rs.eval(n.Limit, rs.baseEnv())
+		lv, err := rs.evalStmt(n.Limit)
 		if err != nil {
 			return false, err
 		}
@@ -142,7 +152,7 @@ func (rs *runState) execWhile(n *gsql.WhileStmt) (bool, error) {
 		limit = li
 	}
 	for iter := int64(0); limit < 0 || iter < limit; iter++ {
-		cond, err := rs.eval(n.Cond, rs.baseEnv())
+		cond, err := rs.evalStmt(n.Cond)
 		if err != nil {
 			return false, err
 		}
@@ -215,7 +225,7 @@ func (rs *runState) evalSetOp(e gsql.Expr) ([]graph.VID, error) {
 // execForeach iterates a list, set or map value, binding elements (or
 // (key, value) tuples for maps) to a local variable.
 func (rs *runState) execForeach(n *gsql.ForeachStmt) (bool, error) {
-	coll, err := rs.eval(n.Coll, rs.baseEnv())
+	coll, err := rs.evalStmt(n.Coll)
 	if err != nil {
 		return false, err
 	}
@@ -272,7 +282,7 @@ func (rs *runState) execPrint(n *gsql.PrintStmt) error {
 				continue
 			}
 		}
-		v, err := rs.eval(item.Expr, rs.baseEnv())
+		v, err := rs.evalStmt(item.Expr)
 		if err != nil {
 			return err
 		}
@@ -297,11 +307,14 @@ func (rs *runState) printProjection(item gsql.PrintItem) (*Table, error) {
 	for _, p := range item.Projections {
 		t.Cols = append(t.Cols, itemLabel(p))
 	}
+	x := rs.plan.exprs[item.Expr]
+	k := rs.bindScope(x.p, nil, name)
+	defer x.p.putBind(k.b)
 	for _, v := range ids {
-		en := &env{vars: map[string]value.Value{name: value.NewVertex(int64(v))}}
+		k.cur, k.curVID = value.NewVertex(int64(v)), v
 		row := make([]value.Value, len(item.Projections))
 		for i, p := range item.Projections {
-			pv, err := rs.eval(p.Expr, en)
+			pv, err := k.eval(p.Expr, x.fns[i])
 			if err != nil {
 				return nil, err
 			}
@@ -334,7 +347,7 @@ func (rs *runState) execReturn(n *gsql.ReturnStmt) error {
 			return nil
 		}
 	}
-	v, err := rs.eval(n.Expr, rs.baseEnv())
+	v, err := rs.evalStmt(n.Expr)
 	if err != nil {
 		return err
 	}

@@ -6,254 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"gsqlgo/internal/accum"
 	"gsqlgo/internal/graph"
 	"gsqlgo/internal/gsql"
 	"gsqlgo/internal/value"
 )
 
-// env carries the per-row evaluation context.
-type env struct {
-	// vars holds pattern-alias bindings.
-	vars map[string]value.Value
-	// locals holds ACCUM/POST-ACCUM-clause local variables and
-	// prevVacc serves v.@acc' reads inside POST-ACCUM (the value at
-	// clause start for accumulators the clause has overwritten). Only
-	// the clause interpreter in interp_test.go sets them; the compiled
-	// kernels keep both in kctx.
-	locals   map[string]value.Value
-	prevVacc map[prevKey]value.Value
-	// aggValues substitutes computed SQL-style aggregates for their
-	// Call nodes during grouped SELECT evaluation.
-	aggValues map[*gsql.Call]value.Value
-	// groupKeys/groupVals substitute GROUP BY key expressions with the
-	// group's key values (null for keys excluded by a grouping set).
-	groupKeys []gsql.Expr
-	groupVals []value.Value
-}
-
-func (rs *runState) baseEnv() *env { return &env{} }
-
-// prevKey names one vertex's accumulator in a POST-ACCUM @acc' record.
-type prevKey struct {
-	vid  graph.VID
-	name string
-}
-
-// eval evaluates an expression.
-func (rs *runState) eval(e gsql.Expr, en *env) (value.Value, error) {
-	if en.groupKeys != nil {
-		for i, k := range en.groupKeys {
-			if gsql.ExprEqual(e, k) {
-				return en.groupVals[i], nil
-			}
-		}
-	}
-	switch n := e.(type) {
-	case *gsql.Lit:
-		return n.Val, nil
-	case *gsql.Ident:
-		return rs.evalIdent(n.Name, en)
-	case *gsql.GlobalAccRef:
-		a, ok := rs.globals[n.Name]
-		if !ok {
-			return value.Null, fmt.Errorf("undeclared global accumulator @@%s", n.Name)
-		}
-		return a.Value(), nil
-	case *gsql.VertexAccRef:
-		return rs.evalVertexAcc(n, en)
-	case *gsql.AttrRef:
-		return rs.evalAttr(n, en)
-	case *gsql.Call:
-		return rs.evalCall(n, en)
-	case *gsql.Binary:
-		return rs.evalBinary(n, en)
-	case *gsql.Unary:
-		x, err := rs.eval(n.X, en)
-		if err != nil {
-			return value.Null, err
-		}
-		if n.Op == "not" {
-			return value.NewBool(!x.Truthy()), nil
-		}
-		return value.Neg(x)
-	case *gsql.TupleExpr:
-		elems := make([]value.Value, len(n.Elems))
-		for i, sub := range n.Elems {
-			v, err := rs.eval(sub, en)
-			if err != nil {
-				return value.Null, err
-			}
-			elems[i] = v
-		}
-		return value.NewTuple(elems), nil
-	case *gsql.ArrowTuple:
-		elems := make([]value.Value, 0, len(n.Keys)+len(n.Vals))
-		for _, sub := range append(append([]gsql.Expr{}, n.Keys...), n.Vals...) {
-			v, err := rs.eval(sub, en)
-			if err != nil {
-				return value.Null, err
-			}
-			elems = append(elems, v)
-		}
-		return value.NewTuple(elems), nil
-	case *gsql.CaseExpr:
-		for _, arm := range n.Whens {
-			c, err := rs.eval(arm.Cond, en)
-			if err != nil {
-				return value.Null, err
-			}
-			if c.Truthy() {
-				return rs.eval(arm.Then, en)
-			}
-		}
-		if n.Else != nil {
-			return rs.eval(n.Else, en)
-		}
-		return value.Null, nil
-	case *gsql.VSetLit:
-		return value.Null, fmt.Errorf("vertex-set literal is only valid as an assignment right-hand side")
-	case *gsql.SelectExpr:
-		return value.Null, fmt.Errorf("SELECT is only valid as a statement or assignment right-hand side")
-	default:
-		return value.Null, fmt.Errorf("cannot evaluate %T", e)
-	}
-}
-
-func (rs *runState) evalIdent(name string, en *env) (value.Value, error) {
-	if en.locals != nil {
-		if v, ok := en.locals[name]; ok {
-			return v, nil
-		}
-	}
-	if en.vars != nil {
-		if v, ok := en.vars[name]; ok {
-			return v, nil
-		}
-	}
-	if v, ok := rs.locals[name]; ok {
-		return v, nil
-	}
-	if v, ok := rs.params[name]; ok {
-		return v, nil
-	}
-	if name == "null" || name == "NULL" {
-		return value.Null, nil
-	}
-	return value.Null, fmt.Errorf("unknown identifier %q", name)
-}
-
-func (rs *runState) evalVertexAcc(n *gsql.VertexAccRef, en *env) (value.Value, error) {
-	vv, err := rs.eval(n.Vertex, en)
-	if err != nil {
-		return value.Null, err
-	}
-	if vv.Kind() != value.KindVertex {
-		return value.Null, fmt.Errorf("@%s: receiver is %s, not a vertex", n.Name, vv.Kind())
-	}
-	store, ok := rs.vaccs[n.Name]
-	if !ok {
-		return value.Null, fmt.Errorf("undeclared vertex accumulator @%s", n.Name)
-	}
-	vid := graph.VID(vv.VertexID())
-	if n.Prev && en.prevVacc != nil {
-		if pv, ok := en.prevVacc[prevKey{vid, n.Name}]; ok {
-			return pv, nil
-		}
-	}
-	return store.peekValue(vid)
-}
-
-func (rs *runState) evalAttr(n *gsql.AttrRef, en *env) (value.Value, error) {
-	obj, err := rs.eval(n.Obj, en)
-	if err != nil {
-		return value.Null, err
-	}
-	switch obj.Kind() {
-	case value.KindVertex:
-		v, ok := rs.g.VertexAttr(graph.VID(obj.VertexID()), n.Name)
-		if !ok {
-			return value.Null, fmt.Errorf("vertex type %s has no attribute %q",
-				rs.g.VertexTypeOf(graph.VID(obj.VertexID())).Name, n.Name)
-		}
-		return v, nil
-	case value.KindEdge:
-		v, ok := rs.g.EdgeAttr(graph.EID(obj.EdgeID()), n.Name)
-		if !ok {
-			return value.Null, fmt.Errorf("edge type %s has no attribute %q",
-				rs.g.EdgeTypeOf(graph.EID(obj.EdgeID())).Name, n.Name)
-		}
-		return v, nil
-	case value.KindMap:
-		// Relational-table row bindings (Example 1): column lookup by
-		// name.
-		for _, p := range obj.Pairs() {
-			if p.Key.Kind() == value.KindString && p.Key.Str() == n.Name {
-				return p.Val, nil
-			}
-		}
-		return value.Null, fmt.Errorf("row has no column %q", n.Name)
-	default:
-		return value.Null, fmt.Errorf("attribute %q on non-graph value of kind %s", n.Name, obj.Kind())
-	}
-}
-
-func (rs *runState) evalBinary(n *gsql.Binary, en *env) (value.Value, error) {
-	// Short-circuit logical operators.
-	if n.Op == "and" || n.Op == "or" {
-		l, err := rs.eval(n.L, en)
-		if err != nil {
-			return value.Null, err
-		}
-		if n.Op == "and" && !l.Truthy() {
-			return value.NewBool(false), nil
-		}
-		if n.Op == "or" && l.Truthy() {
-			return value.NewBool(true), nil
-		}
-		r, err := rs.eval(n.R, en)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.NewBool(r.Truthy()), nil
-	}
-	l, err := rs.eval(n.L, en)
-	if err != nil {
-		return value.Null, err
-	}
-	r, err := rs.eval(n.R, en)
-	if err != nil {
-		return value.Null, err
-	}
-	switch n.Op {
-	case "+":
-		return value.Add(l, r)
-	case "-":
-		return value.Sub(l, r)
-	case "*":
-		return value.Mul(l, r)
-	case "/":
-		return value.Div(l, r)
-	case "%":
-		return value.Mod(l, r)
-	case "==":
-		return value.NewBool(value.Equal(l, r)), nil
-	case "!=":
-		return value.NewBool(!value.Equal(l, r)), nil
-	case "<":
-		return value.NewBool(value.Compare(l, r) < 0), nil
-	case "<=":
-		return value.NewBool(value.Compare(l, r) <= 0), nil
-	case ">":
-		return value.NewBool(value.Compare(l, r) > 0), nil
-	case ">=":
-		return value.NewBool(value.Compare(l, r) >= 0), nil
-	case "in":
-		return evalIn(l, r)
-	default:
-		return value.Null, fmt.Errorf("unknown operator %q", n.Op)
-	}
-}
+// This file holds the builtins the expression compiler (compile.go)
+// calls: membership, aggregate-call recognition and the scalar builtin
+// functions.
 
 // evalIn implements membership: element IN list/set/tuple, or key IN
 // map.
@@ -296,105 +56,6 @@ func lower(s string) string {
 		}
 	}
 	return string(b)
-}
-
-func (rs *runState) evalCall(n *gsql.Call, en *env) (value.Value, error) {
-	// Grouped-aggregate substitution.
-	if en.aggValues != nil {
-		if v, ok := en.aggValues[n]; ok {
-			return v, nil
-		}
-	}
-	if n.Recv != nil {
-		return rs.evalMethod(n, en)
-	}
-	if isAggregateCall(n) {
-		return value.Null, fmt.Errorf("aggregate %s(...) is only valid in a SELECT with GROUP BY", n.Name)
-	}
-	if sz, ok := rs.globalSize(n, en); ok {
-		return value.NewInt(int64(sz)), nil
-	}
-	args := make([]value.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := rs.eval(a, en)
-		if err != nil {
-			return value.Null, err
-		}
-		args[i] = v
-	}
-	return evalBuiltin(n.Name, args)
-}
-
-// globalSize answers size(@@acc) from the accumulator's container
-// (accum.Size) rather than materialising, sorting and then counting its
-// value. ok is false whenever the general path must run instead: any
-// other call, an argument a GROUP BY key could substitute, an
-// undeclared accumulator (whose error eval reports), or a container
-// accum.Size declines to count.
-func (rs *runState) globalSize(n *gsql.Call, en *env) (int, bool) {
-	if len(n.Args) != 1 || en.groupKeys != nil {
-		return 0, false
-	}
-	ref, ok := n.Args[0].(*gsql.GlobalAccRef)
-	if !ok || lower(n.Name) != "size" {
-		return 0, false
-	}
-	a, ok := rs.globals[ref.Name]
-	if !ok {
-		return 0, false
-	}
-	return accum.Size(a)
-}
-
-func (rs *runState) evalMethod(n *gsql.Call, en *env) (value.Value, error) {
-	// VertexSet.size() — the receiver names a vertex set, not a
-	// bound vertex (used for frontier-emptiness loop conditions).
-	if id, ok := n.Recv.(*gsql.Ident); ok && lower(n.Name) == "size" && len(n.Args) == 0 {
-		inScope := en.vars != nil && func() bool { _, ok := en.vars[id.Name]; return ok }()
-		if !inScope {
-			if ids, ok := rs.vsets[id.Name]; ok {
-				return value.NewInt(int64(len(ids))), nil
-			}
-		}
-	}
-	recv, err := rs.eval(n.Recv, en)
-	if err != nil {
-		return value.Null, err
-	}
-	if recv.Kind() != value.KindVertex {
-		return value.Null, fmt.Errorf("method %q on non-vertex value of kind %s", n.Name, recv.Kind())
-	}
-	vid := graph.VID(recv.VertexID())
-	switch lower(n.Name) {
-	case "outdegree":
-		switch len(n.Args) {
-		case 0:
-			return value.NewInt(int64(rs.adjacency().OutDegree(vid))), nil
-		case 1:
-			et, err := rs.eval(n.Args[0], en)
-			if err != nil {
-				return value.Null, err
-			}
-			if et.Kind() != value.KindString {
-				return value.Null, fmt.Errorf("outdegree edge type must be a string")
-			}
-			return value.NewInt(int64(rs.outDegreeByName(vid, et.Str()))), nil
-		default:
-			return value.Null, fmt.Errorf("outdegree takes at most one argument")
-		}
-	case "degree":
-		return value.NewInt(int64(rs.adjacency().Degree(vid))), nil
-	case "type":
-		return value.NewString(rs.g.VertexTypeOf(vid).Name), nil
-	case "id":
-		return value.NewString(rs.g.VertexKey(vid)), nil
-	case "vid":
-		// Graph-internal numeric id; handy as a total order for label
-		// propagation (WCC's component labels).
-		return value.NewInt(int64(vid)), nil
-	default:
-		return value.Null, fmt.Errorf("unknown vertex method %q", n.Name)
-	}
 }
 
 // evalBuiltin dispatches scalar builtin functions.

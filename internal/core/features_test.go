@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,6 +205,32 @@ CREATE QUERY BadIter() {
   END;
 }`, nil); err == nil {
 		t.Error("FOREACH over a scalar must error")
+	}
+}
+
+// TestGroupedTupleAggregate pins an aggregate inside a tuple item of a
+// grouped SELECT: it folds like a bare one, compiled and on the oracle.
+func TestGroupedTupleAggregate(t *testing.T) {
+	e := salesEngine(t, Options{})
+	if err := e.Install(`
+CREATE QUERY Q() {
+  SELECT p.category, (count(*), 1) AS n INTO T
+  FROM Customer:c -(Bought>)- Product:p
+  GROUP BY p.category
+  ORDER BY p.category;
+}
+`); err != nil {
+		t.Fatal(err)
+	}
+	want := "[[grocery (101, 1)] [toy (99, 1)]]"
+	for _, interp := range []bool{false, true} {
+		res, err := maybeInterpreted(interp, func() (*Result, error) { return e.Run("Q", nil) })
+		if err != nil {
+			t.Fatalf("interp=%v: %v", interp, err)
+		}
+		if got := fmt.Sprint(res.Tables["T"].Rows); got != want {
+			t.Errorf("interp=%v: rows %s, want %s", interp, got, want)
+		}
 	}
 }
 

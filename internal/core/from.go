@@ -206,29 +206,6 @@ func satMul(a, b uint64) uint64 {
 	return p
 }
 
-// rowEnv builds the expression environment for one binding row.
-func (bt *bindingTable) rowEnv(r bindingRow) *env {
-	en := &env{vars: make(map[string]value.Value, len(bt.vertAliases)+len(bt.edgeAliases)+len(bt.relAliases))}
-	bt.bindRow(en, r)
-	return en
-}
-
-// bindRow (re)binds a row's aliases into an existing environment,
-// letting hot loops (WHERE filtering, ACCUM shards) reuse one
-// environment instead of allocating a map per row. ACCUM-clause locals
-// live in env.locals and are reset between rows by the caller.
-func (bt *bindingTable) bindRow(en *env, r bindingRow) {
-	for i, a := range bt.vertAliases {
-		en.vars[a] = value.NewVertex(int64(r.verts[i]))
-	}
-	for i, a := range bt.edgeAliases {
-		en.vars[a] = value.NewEdge(int64(r.edges[i]))
-	}
-	for i, a := range bt.relAliases {
-		en.vars[a] = r.rels[i]
-	}
-}
-
 // buildBindings evaluates the FROM clause into a binding table,
 // joining comma-separated path conjuncts on shared vertex aliases.
 // sp is the enclosing SELECT's trace span (nil when untraced): each

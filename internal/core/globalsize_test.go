@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"gsqlgo/internal/graph"
+	"gsqlgo/internal/gsql"
 	"gsqlgo/internal/trace"
 	"gsqlgo/internal/value"
 )
 
-// TestSizeOfGlobalAccumulator checks size(@@acc), which the interpreter
-// answers from the accumulator's container, against the size of the
-// accumulator's materialised value, for every container kind and in
-// every statement position the interpreter evaluates it: PRINT, a local
-// assignment, IF and WHILE conditions, and RETURN. Inputs collide as
+// TestSizeOfGlobalAccumulator checks size(@@acc), which the compiled
+// path answers from the accumulator's container, against the size of
+// the accumulator's materialised value, for every container kind and
+// in every statement position: PRINT, a local assignment, IF and WHILE
+// conditions, and RETURN. Inputs collide as
 // int and int-valued float (1 and 1.0 are one element).
 func TestSizeOfGlobalAccumulator(t *testing.T) {
 	src := `
@@ -104,5 +105,48 @@ func TestPrintAndReturnSpans(t *testing.T) {
 	}
 	if got, _ := ret[0].Attr("items"); got != int64(1) {
 		t.Errorf("return span: items=%v, want 1", got)
+	}
+}
+
+// TestPrintSizeAllocsFlat pins the container count of size(@@acc) at
+// statement level: PRINT size(@@m) allocates no more for a 10 000-entry
+// map than for a 10-entry one, where materialising the map would
+// allocate a list per entry.
+func TestPrintSizeAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	e := New(graph.BuildG1(), Options{})
+	if err := e.Install(`CREATE QUERY Q() {
+  MapAccum<int, ListAccum<int>> @@m;
+  PRINT size(@@m);
+}`); err != nil {
+		t.Fatal(err)
+	}
+	q := e.queries["Q"]
+	stmt := q.Stmts[0].(*gsql.PrintStmt)
+	var allocs [2]float64
+	for i, n := range []int{10, 10000} {
+		rs, err := newRunState(e, e.Graph().Snapshot(), q, e.plans["Q"], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < n; j++ {
+			if err := rs.globals["m"].Input(value.NewTuple([]value.Value{value.NewInt(int64(j)), value.NewInt(1)}), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			rs.res.Printed = rs.res.Printed[:0]
+			if err := rs.execPrint(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := rs.res.Printed[0].Rows[0][0].Int(); got != int64(n) {
+			t.Fatalf("size(@@m) = %d, want %d", got, n)
+		}
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("PRINT size(@@m) allocations grew with the map: %.0f at 10 entries, %.0f at 10 000", allocs[0], allocs[1])
 	}
 }

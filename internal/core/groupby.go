@@ -14,101 +14,30 @@ import (
 // binding table under bag semantics — multiplicities of the compressed
 // binding table feed the aggregates exactly as μ duplicate rows would.
 
-// outputsHaveAggregates reports whether any output item, HAVING or
-// ORDER BY expression contains an aggregate call.
-func (rs *runState) outputsHaveAggregates(sel *gsql.SelectExpr) bool {
+// hasAggregates reports whether any output item, HAVING or ORDER BY
+// expression contains an aggregate call.
+func hasAggregates(sel *gsql.SelectExpr) bool {
 	found := false
-	var walk func(e gsql.Expr)
-	walk = func(e gsql.Expr) {
-		switch n := e.(type) {
-		case *gsql.Call:
-			if isAggregateCall(n) {
-				found = true
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *gsql.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *gsql.Unary:
-			walk(n.X)
-		case *gsql.AttrRef:
-			walk(n.Obj)
-		case *gsql.VertexAccRef:
-			walk(n.Vertex)
-		case *gsql.CaseExpr:
-			for _, arm := range n.Whens {
-				walk(arm.Cond)
-				walk(arm.Then)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
+	visit := func(e gsql.Expr) {
+		if c, ok := e.(*gsql.Call); ok && isAggregateCall(c) {
+			found = true
 		}
 	}
 	for _, out := range sel.Outputs {
 		for _, item := range out.Items {
-			walk(item.Expr)
+			gsql.WalkExpr(item.Expr, visit)
 		}
 	}
-	if sel.Having != nil {
-		walk(sel.Having)
-	}
+	gsql.WalkExpr(sel.Having, visit)
 	for _, ok := range sel.OrderBy {
-		walk(ok.Expr)
+		gsql.WalkExpr(ok.Expr, visit)
 	}
 	return found
 }
 
-// collectAggCalls gathers every aggregate Call node reachable from the
-// given expressions.
-func collectAggCalls(exprs []gsql.Expr) []*gsql.Call {
-	var out []*gsql.Call
-	var walk func(e gsql.Expr)
-	walk = func(e gsql.Expr) {
-		switch n := e.(type) {
-		case *gsql.Call:
-			if isAggregateCall(n) {
-				out = append(out, n)
-				return
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *gsql.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *gsql.Unary:
-			walk(n.X)
-		case *gsql.AttrRef:
-			walk(n.Obj)
-		case *gsql.VertexAccRef:
-			walk(n.Vertex)
-		case *gsql.CaseExpr:
-			for _, arm := range n.Whens {
-				walk(arm.Cond)
-				walk(arm.Then)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		}
-	}
-	for _, e := range exprs {
-		walk(e)
-	}
-	return out
-}
-
-// aggState aggregates one Call for one group, reusing the accumulator
-// library as the fold implementation.
-type aggState struct {
-	call *gsql.Call
-	acc  accum.Accumulator
-}
-
-func newAggState(call *gsql.Call) (*aggState, error) {
+// newAggregate returns the accumulator that folds one aggregate call
+// for one group.
+func newAggregate(call *gsql.Call) (accum.Accumulator, error) {
 	var spec *accum.Spec
 	switch lower(call.Name) {
 	case "count":
@@ -124,47 +53,43 @@ func newAggState(call *gsql.Call) (*aggState, error) {
 	default:
 		return nil, fmt.Errorf("unknown aggregate %q", call.Name)
 	}
-	a, err := accum.New(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &aggState{call: call, acc: a}, nil
+	return accum.New(spec)
 }
 
-// feed aggregates one binding row (with its bag multiplicity).
-func (as *aggState) feed(rs *runState, en *env, mult uint64) error {
-	arg := as.call.Args[0]
-	if id, ok := arg.(*gsql.Ident); ok && id.Name == "*" {
-		if lower(as.call.Name) != "count" {
-			return fmt.Errorf("%s(*) is not valid; only count(*)", as.call.Name)
+// feed folds the current binding row (with its bag multiplicity) into
+// one group's aggregate.
+func (k *kctx) feed(a *aggSlot, acc accum.Accumulator, mult uint64) error {
+	name := a.call.Name
+	if a.arg == nil {
+		if lower(name) != "count" {
+			return fmt.Errorf("%s(*) is not valid; only count(*)", name)
 		}
-		return as.acc.Input(value.NewInt(1), mult)
+		return acc.Input(value.NewInt(1), mult)
 	}
-	v, err := rs.eval(arg, en)
+	v, err := k.eval(a.call.Args[0], a.arg)
 	if err != nil {
 		return err
-	}
-	if lower(as.call.Name) == "count" {
-		if v.IsNull() {
-			return nil
-		}
-		return as.acc.Input(value.NewInt(1), mult)
 	}
 	if v.IsNull() {
 		return nil
 	}
+	if lower(name) == "count" {
+		return acc.Input(value.NewInt(1), mult)
+	}
 	f, ok := v.AsFloat()
 	if !ok {
-		return fmt.Errorf("%s(...) requires numeric input, got %s", as.call.Name, v.Kind())
+		return fmt.Errorf("%s(...) requires numeric input, got %s", name, v.Kind())
 	}
-	return as.acc.Input(value.NewFloat(f), mult)
+	return acc.Input(value.NewFloat(f), mult)
 }
 
-// group is one grouping key's aggregation state.
+// sqlGroup is one grouping key's state: its key values (null for keys
+// its grouping set excludes), one accumulator per aggregate slot, and
+// its representative (first) binding row, which group scope reads.
 type sqlGroup struct {
 	keyVals []value.Value
-	env     *env // representative row's environment
-	aggs    []*aggState
+	aggs    []accum.Accumulator
+	rep     int
 }
 
 // emitGrouped evaluates the SQL-style grouped output for one fragment.
@@ -173,20 +98,7 @@ type sqlGroup struct {
 // outer union: grouping keys excluded from a set read as null — the
 // very materialized union table whose post-processing cost Section 8
 // contrasts with dedicated accumulators.
-func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt *bindingTable) (*Table, error) {
-	// Aggregates needed across items, HAVING and ORDER BY.
-	var exprs []gsql.Expr
-	for _, item := range out.Items {
-		exprs = append(exprs, item.Expr)
-	}
-	if sel.Having != nil {
-		exprs = append(exprs, sel.Having)
-	}
-	for _, ok := range sel.OrderBy {
-		exprs = append(exprs, ok.Expr)
-	}
-	aggCalls := collectAggCalls(exprs)
-
+func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, co *compiledOutput, bt *bindingTable) (*Table, error) {
 	groupingSets := sel.GroupingSets
 	if groupingSets == nil {
 		all := make([]int, len(sel.GroupBy))
@@ -203,13 +115,17 @@ func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt
 		}
 	}
 
+	k := rs.bindScope(co.p, bt, "")
+	defer co.p.putBind(k.b)
+	k.out = co
 	groups := map[string]*sqlGroup{}
-	var order []string
-	for _, row := range bt.rows {
-		en := bt.rowEnv(row)
+	var order []*sqlGroup
+	for ri := range bt.rows {
+		row := &bt.rows[ri]
+		k.row = row
 		rowKeys := make([]value.Value, len(sel.GroupBy))
 		for i, ke := range sel.GroupBy {
-			kv, err := rs.eval(ke, en)
+			kv, err := k.eval(ke, co.keys[i])
 			if err != nil {
 				return nil, fmt.Errorf("GROUP BY: %w", err)
 			}
@@ -224,22 +140,22 @@ func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt
 					keyVals[i] = value.Null
 				}
 			}
-			k := fmt.Sprintf("%d|%s", si, value.NewTuple(keyVals).Key())
-			g, ok := groups[k]
+			key := fmt.Sprintf("%d|%s", si, value.NewTuple(keyVals).Key())
+			g, ok := groups[key]
 			if !ok {
-				g = &sqlGroup{keyVals: keyVals, env: en}
-				for _, c := range aggCalls {
-					as, err := newAggState(c)
+				g = &sqlGroup{keyVals: keyVals, rep: ri}
+				for _, a := range co.aggs {
+					acc, err := newAggregate(a.call)
 					if err != nil {
 						return nil, err
 					}
-					g.aggs = append(g.aggs, as)
+					g.aggs = append(g.aggs, acc)
 				}
-				groups[k] = g
-				order = append(order, k)
+				groups[key] = g
+				order = append(order, g)
 			}
-			for _, as := range g.aggs {
-				if err := as.feed(rs, en, row.mult); err != nil {
+			for j := range co.aggs {
+				if err := k.feed(&co.aggs[j], g.aggs[j], row.mult); err != nil {
 					return nil, err
 				}
 			}
@@ -255,18 +171,10 @@ func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt
 		keys []value.Value
 	}
 	var rows []orderedRow
-	for _, k := range order {
-		g := groups[k]
-		// Substitute computed aggregates and the group's key values
-		// (null for grouping-set-excluded keys) into the environment.
-		g.env.aggValues = map[*gsql.Call]value.Value{}
-		for _, as := range g.aggs {
-			g.env.aggValues[as.call] = as.acc.Value()
-		}
-		g.env.groupKeys = sel.GroupBy
-		g.env.groupVals = g.keyVals
+	for _, g := range order {
+		k.row, k.grp = &bt.rows[g.rep], g
 		if sel.Having != nil {
-			hv, err := rs.eval(sel.Having, g.env)
+			hv, err := k.eval(sel.Having, co.having)
 			if err != nil {
 				return nil, fmt.Errorf("HAVING: %w", err)
 			}
@@ -274,25 +182,9 @@ func (rs *runState) emitGrouped(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt
 				continue
 			}
 		}
-		vals := make([]value.Value, len(out.Items))
-		for i, item := range out.Items {
-			v, err := rs.eval(item.Expr, g.env)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		var keys []value.Value
-		for _, ok := range sel.OrderBy {
-			if idx := itemAliasIndex(out.Items, ok.Expr); idx >= 0 {
-				keys = append(keys, vals[idx])
-				continue
-			}
-			kv, err := rs.eval(ok.Expr, g.env)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, kv)
+		vals, keys, err := k.evalOutput(sel, out, co)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, orderedRow{vals: vals, keys: keys})
 	}

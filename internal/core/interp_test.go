@@ -11,17 +11,21 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// This file is the differential oracle for the compiled WHERE, ACCUM
-// and POST-ACCUM kernels (compile.go, kernel.go): a tree-walking
-// interpreter over the AST that implements the clause semantics of
-// Sections 4.3–4.4 directly. Tests install it through clauseOracle
+// This file is the differential oracle for the compiled path
+// (compile.go, kernel.go): a tree-walking interpreter over the AST that
+// implements the clause semantics of Sections 4.3–4.4 directly and
+// evaluates every statement, output and GROUP BY expression in an
+// environment of its own. Tests install it as the oracle
 // (maybeInterpreted) and compare every observable outcome — results,
 // error text, which of several racing shard errors wins — with the
 // compiled run.
 
-// interpretClause is the clauseOracle the differential tests install.
-// It counts the statements it runs as interpreted.
-func interpretClause(rs *runState, clause string, sel *gsql.SelectExpr, bt *bindingTable, sp *trace.Span) error {
+// interpreter is the oracle the differential tests install.
+type interpreter struct{}
+
+// clause runs one clause on the interpreter, counting the statements
+// it runs as interpreted.
+func (interpreter) clause(rs *runState, clause string, sel *gsql.SelectExpr, bt *bindingTable, sp *trace.Span) error {
 	switch clause {
 	case "where":
 		return rs.filterWhere(bt, sel.Where)
@@ -35,13 +39,37 @@ func interpretClause(rs *runState, clause string, sel *gsql.SelectExpr, bt *bind
 	return fmt.Errorf("unknown clause %q", clause)
 }
 
-// maybeInterpreted runs f on the compiled kernels, or, when interp is
-// set, with every clause on the interpreter (restoring the kernels
-// afterwards). Tests that use it must not run in parallel.
+// expr evaluates a statement or output expression in the environment
+// the interpreter builds for k's scope: empty in statement scope, the
+// one alias in vertex scope, the row's aliases in row scope, and in
+// group scope the representative row's plus the group's key and
+// aggregate values.
+func (interpreter) expr(k *kctx, e gsql.Expr) (value.Value, error) {
+	en := &env{}
+	switch {
+	case k.bt != nil:
+		en = k.bt.rowEnv(*k.row)
+		if k.grp != nil {
+			en.groupKeys, en.groupVals = k.out.groupBy, k.grp.keyVals
+			en.aggValues = map[*gsql.Call]value.Value{}
+			for j, a := range k.out.aggs {
+				en.aggValues[a.call] = k.grp.aggs[j].Value()
+			}
+		}
+	case k.alias != "":
+		en.vars = map[string]value.Value{k.alias: k.cur}
+	}
+	return k.rs.eval(e, en)
+}
+
+// maybeInterpreted runs f on the compiled path, or, when interp is
+// set, with every clause and expression on the interpreter (restoring
+// the compiled path afterwards). Tests that use it must not run in
+// parallel.
 func maybeInterpreted(interp bool, f func() (*Result, error)) (*Result, error) {
 	if interp {
-		clauseOracle = interpretClause
-		defer func() { clauseOracle = nil }()
+		oracle = interpreter{}
+		defer func() { oracle = nil }()
 	}
 	return f()
 }
@@ -345,7 +373,7 @@ func (rs *runState) execPostAccumClause(stmts []gsql.AccStmt, bt *bindingTable) 
 	var groupOrder []string
 	for i := range stmts {
 		st := &stmts[i]
-		alias, err := rs.postAccumAlias(st, bt)
+		alias, err := postAccumAlias(st, bt)
 		if err != nil {
 			return err
 		}
@@ -481,4 +509,363 @@ func (rs *runState) postAccumStmtSeq(stmts []*gsql.AccStmt, en *env, d *deltas) 
 		}
 	}
 	return nil
+}
+
+// ---- expressions ----------------------------------------------------------------
+
+// env carries one evaluation's context.
+type env struct {
+	// vars holds pattern-alias bindings.
+	vars map[string]value.Value
+	// locals holds ACCUM/POST-ACCUM-clause local variables and
+	// prevVacc serves v.@acc' reads inside POST-ACCUM (the value at
+	// clause start for accumulators the clause has overwritten). Only
+	// the clause interpreter above sets them; the compiled kernels keep
+	// both in kctx.
+	locals   map[string]value.Value
+	prevVacc map[prevKey]value.Value
+	// aggValues substitutes computed SQL-style aggregates for their
+	// Call nodes during grouped SELECT evaluation.
+	aggValues map[*gsql.Call]value.Value
+	// groupKeys/groupVals substitute GROUP BY key expressions with the
+	// group's key values (null for keys excluded by a grouping set).
+	groupKeys []gsql.Expr
+	groupVals []value.Value
+}
+
+// eval evaluates an expression.
+func (rs *runState) eval(e gsql.Expr, en *env) (value.Value, error) {
+	if en.groupKeys != nil {
+		for i, k := range en.groupKeys {
+			if gsql.ExprEqual(e, k) {
+				return en.groupVals[i], nil
+			}
+		}
+	}
+	switch n := e.(type) {
+	case *gsql.Lit:
+		return n.Val, nil
+	case *gsql.Ident:
+		return rs.evalIdent(n.Name, en)
+	case *gsql.GlobalAccRef:
+		a, ok := rs.globals[n.Name]
+		if !ok {
+			return value.Null, fmt.Errorf("undeclared global accumulator @@%s", n.Name)
+		}
+		return a.Value(), nil
+	case *gsql.VertexAccRef:
+		return rs.evalVertexAcc(n, en)
+	case *gsql.AttrRef:
+		return rs.evalAttr(n, en)
+	case *gsql.Call:
+		return rs.evalCall(n, en)
+	case *gsql.Binary:
+		return rs.evalBinary(n, en)
+	case *gsql.Unary:
+		x, err := rs.eval(n.X, en)
+		if err != nil {
+			return value.Null, err
+		}
+		if n.Op == "not" {
+			return value.NewBool(!x.Truthy()), nil
+		}
+		return value.Neg(x)
+	case *gsql.TupleExpr:
+		elems := make([]value.Value, len(n.Elems))
+		for i, sub := range n.Elems {
+			v, err := rs.eval(sub, en)
+			if err != nil {
+				return value.Null, err
+			}
+			elems[i] = v
+		}
+		return value.NewTuple(elems), nil
+	case *gsql.ArrowTuple:
+		elems := make([]value.Value, 0, len(n.Keys)+len(n.Vals))
+		for _, sub := range append(append([]gsql.Expr{}, n.Keys...), n.Vals...) {
+			v, err := rs.eval(sub, en)
+			if err != nil {
+				return value.Null, err
+			}
+			elems = append(elems, v)
+		}
+		return value.NewTuple(elems), nil
+	case *gsql.CaseExpr:
+		for _, arm := range n.Whens {
+			c, err := rs.eval(arm.Cond, en)
+			if err != nil {
+				return value.Null, err
+			}
+			if c.Truthy() {
+				return rs.eval(arm.Then, en)
+			}
+		}
+		if n.Else != nil {
+			return rs.eval(n.Else, en)
+		}
+		return value.Null, nil
+	case *gsql.VSetLit:
+		return value.Null, fmt.Errorf("vertex-set literal is only valid as an assignment right-hand side")
+	case *gsql.SelectExpr:
+		return value.Null, fmt.Errorf("SELECT is only valid as a statement or assignment right-hand side")
+	default:
+		return value.Null, fmt.Errorf("cannot evaluate %T", e)
+	}
+}
+
+func (rs *runState) evalIdent(name string, en *env) (value.Value, error) {
+	if en.locals != nil {
+		if v, ok := en.locals[name]; ok {
+			return v, nil
+		}
+	}
+	if en.vars != nil {
+		if v, ok := en.vars[name]; ok {
+			return v, nil
+		}
+	}
+	if v, ok := rs.locals[name]; ok {
+		return v, nil
+	}
+	if v, ok := rs.params[name]; ok {
+		return v, nil
+	}
+	if name == "null" || name == "NULL" {
+		return value.Null, nil
+	}
+	return value.Null, fmt.Errorf("unknown identifier %q", name)
+}
+
+func (rs *runState) evalVertexAcc(n *gsql.VertexAccRef, en *env) (value.Value, error) {
+	vv, err := rs.eval(n.Vertex, en)
+	if err != nil {
+		return value.Null, err
+	}
+	if vv.Kind() != value.KindVertex {
+		return value.Null, fmt.Errorf("@%s: receiver is %s, not a vertex", n.Name, vv.Kind())
+	}
+	store, ok := rs.vaccs[n.Name]
+	if !ok {
+		return value.Null, fmt.Errorf("undeclared vertex accumulator @%s", n.Name)
+	}
+	vid := graph.VID(vv.VertexID())
+	if n.Prev && en.prevVacc != nil {
+		if pv, ok := en.prevVacc[prevKey{vid, n.Name}]; ok {
+			return pv, nil
+		}
+	}
+	return store.peekValue(vid)
+}
+
+func (rs *runState) evalAttr(n *gsql.AttrRef, en *env) (value.Value, error) {
+	obj, err := rs.eval(n.Obj, en)
+	if err != nil {
+		return value.Null, err
+	}
+	switch obj.Kind() {
+	case value.KindVertex:
+		v, ok := rs.g.VertexAttr(graph.VID(obj.VertexID()), n.Name)
+		if !ok {
+			return value.Null, fmt.Errorf("vertex type %s has no attribute %q",
+				rs.g.VertexTypeOf(graph.VID(obj.VertexID())).Name, n.Name)
+		}
+		return v, nil
+	case value.KindEdge:
+		v, ok := rs.g.EdgeAttr(graph.EID(obj.EdgeID()), n.Name)
+		if !ok {
+			return value.Null, fmt.Errorf("edge type %s has no attribute %q",
+				rs.g.EdgeTypeOf(graph.EID(obj.EdgeID())).Name, n.Name)
+		}
+		return v, nil
+	case value.KindMap:
+		// Relational-table row bindings (Example 1): column lookup by
+		// name.
+		for _, p := range obj.Pairs() {
+			if p.Key.Kind() == value.KindString && p.Key.Str() == n.Name {
+				return p.Val, nil
+			}
+		}
+		return value.Null, fmt.Errorf("row has no column %q", n.Name)
+	default:
+		return value.Null, fmt.Errorf("attribute %q on non-graph value of kind %s", n.Name, obj.Kind())
+	}
+}
+
+func (rs *runState) evalBinary(n *gsql.Binary, en *env) (value.Value, error) {
+	// Short-circuit logical operators.
+	if n.Op == "and" || n.Op == "or" {
+		l, err := rs.eval(n.L, en)
+		if err != nil {
+			return value.Null, err
+		}
+		if n.Op == "and" && !l.Truthy() {
+			return value.NewBool(false), nil
+		}
+		if n.Op == "or" && l.Truthy() {
+			return value.NewBool(true), nil
+		}
+		r, err := rs.eval(n.R, en)
+		if err != nil {
+			return value.Null, err
+		}
+		return value.NewBool(r.Truthy()), nil
+	}
+	l, err := rs.eval(n.L, en)
+	if err != nil {
+		return value.Null, err
+	}
+	r, err := rs.eval(n.R, en)
+	if err != nil {
+		return value.Null, err
+	}
+	switch n.Op {
+	case "+":
+		return value.Add(l, r)
+	case "-":
+		return value.Sub(l, r)
+	case "*":
+		return value.Mul(l, r)
+	case "/":
+		return value.Div(l, r)
+	case "%":
+		return value.Mod(l, r)
+	case "==":
+		return value.NewBool(value.Equal(l, r)), nil
+	case "!=":
+		return value.NewBool(!value.Equal(l, r)), nil
+	case "<":
+		return value.NewBool(value.Compare(l, r) < 0), nil
+	case "<=":
+		return value.NewBool(value.Compare(l, r) <= 0), nil
+	case ">":
+		return value.NewBool(value.Compare(l, r) > 0), nil
+	case ">=":
+		return value.NewBool(value.Compare(l, r) >= 0), nil
+	case "in":
+		return evalIn(l, r)
+	default:
+		return value.Null, fmt.Errorf("unknown operator %q", n.Op)
+	}
+}
+
+func (rs *runState) evalCall(n *gsql.Call, en *env) (value.Value, error) {
+	// Grouped-aggregate substitution.
+	if en.aggValues != nil {
+		if v, ok := en.aggValues[n]; ok {
+			return v, nil
+		}
+	}
+	if n.Recv != nil {
+		return rs.evalMethod(n, en)
+	}
+	if isAggregateCall(n) {
+		return value.Null, fmt.Errorf("aggregate %s(...) is only valid in a SELECT with GROUP BY", n.Name)
+	}
+	if sz, ok := rs.globalSize(n, en); ok {
+		return value.NewInt(int64(sz)), nil
+	}
+	args := make([]value.Value, len(n.Args))
+	for i, a := range n.Args {
+		v, err := rs.eval(a, en)
+		if err != nil {
+			return value.Null, err
+		}
+		args[i] = v
+	}
+	return evalBuiltin(n.Name, args)
+}
+
+// globalSize answers size(@@acc) from the accumulator's container
+// (accum.Size) rather than materialising, sorting and then counting its
+// value. ok is false whenever the general path must run instead: any
+// other call, an argument a GROUP BY key could substitute, an
+// undeclared accumulator (whose error eval reports), or a container
+// accum.Size declines to count.
+func (rs *runState) globalSize(n *gsql.Call, en *env) (int, bool) {
+	if len(n.Args) != 1 || en.groupKeys != nil {
+		return 0, false
+	}
+	ref, ok := n.Args[0].(*gsql.GlobalAccRef)
+	if !ok || lower(n.Name) != "size" {
+		return 0, false
+	}
+	a, ok := rs.globals[ref.Name]
+	if !ok {
+		return 0, false
+	}
+	return accum.Size(a)
+}
+
+func (rs *runState) evalMethod(n *gsql.Call, en *env) (value.Value, error) {
+	// VertexSet.size() — the receiver names a vertex set, not a
+	// bound vertex (used for frontier-emptiness loop conditions).
+	if id, ok := n.Recv.(*gsql.Ident); ok && lower(n.Name) == "size" && len(n.Args) == 0 {
+		inScope := en.vars != nil && func() bool { _, ok := en.vars[id.Name]; return ok }()
+		if !inScope {
+			if ids, ok := rs.vsets[id.Name]; ok {
+				return value.NewInt(int64(len(ids))), nil
+			}
+		}
+	}
+	recv, err := rs.eval(n.Recv, en)
+	if err != nil {
+		return value.Null, err
+	}
+	if recv.Kind() != value.KindVertex {
+		return value.Null, fmt.Errorf("method %q on non-vertex value of kind %s", n.Name, recv.Kind())
+	}
+	vid := graph.VID(recv.VertexID())
+	switch lower(n.Name) {
+	case "outdegree":
+		switch len(n.Args) {
+		case 0:
+			return value.NewInt(int64(rs.adjacency().OutDegree(vid))), nil
+		case 1:
+			et, err := rs.eval(n.Args[0], en)
+			if err != nil {
+				return value.Null, err
+			}
+			if et.Kind() != value.KindString {
+				return value.Null, fmt.Errorf("outdegree edge type must be a string")
+			}
+			return value.NewInt(int64(rs.outDegreeByName(vid, et.Str()))), nil
+		default:
+			return value.Null, fmt.Errorf("outdegree takes at most one argument")
+		}
+	case "degree":
+		return value.NewInt(int64(rs.adjacency().Degree(vid))), nil
+	case "type":
+		return value.NewString(rs.g.VertexTypeOf(vid).Name), nil
+	case "id":
+		return value.NewString(rs.g.VertexKey(vid)), nil
+	case "vid":
+		// Graph-internal numeric id; handy as a total order for label
+		// propagation (WCC's component labels).
+		return value.NewInt(int64(vid)), nil
+	default:
+		return value.Null, fmt.Errorf("unknown vertex method %q", n.Name)
+	}
+}
+
+// rowEnv builds the expression environment for one binding row.
+func (bt *bindingTable) rowEnv(r bindingRow) *env {
+	en := &env{vars: make(map[string]value.Value, len(bt.vertAliases)+len(bt.edgeAliases)+len(bt.relAliases))}
+	bt.bindRow(en, r)
+	return en
+}
+
+// bindRow (re)binds a row's aliases into an existing environment,
+// letting hot loops (WHERE filtering, ACCUM shards) reuse one
+// environment instead of allocating a map per row. ACCUM-clause locals
+// live in env.locals and are reset between rows by the caller.
+func (bt *bindingTable) bindRow(en *env, r bindingRow) {
+	for i, a := range bt.vertAliases {
+		en.vars[a] = value.NewVertex(int64(r.verts[i]))
+	}
+	for i, a := range bt.edgeAliases {
+		en.vars[a] = value.NewEdge(int64(r.edges[i]))
+	}
+	for i, a := range bt.relAliases {
+		en.vars[a] = r.rels[i]
+	}
 }

@@ -11,11 +11,11 @@ import (
 	"gsqlgo/internal/value"
 )
 
-// This file is the runtime half of the compiled WHERE/ACCUM/POST-ACCUM
-// path: the kprogram representation compile.go lowers clauses into, the
-// cheap per-clause-execution bind step that resolves name slots
-// against the actual binding table, the WHERE filter and the sharded
-// kernel executors.
+// This file is the runtime half of the compiled path: the kprogram
+// representation compile.go lowers clauses and expressions into, the
+// cheap per-execution bind step that resolves name slots for a clause
+// against the actual binding table and for an expression in its scope,
+// the WHERE filter and the sharded kernel executors.
 // Semantics are defined by the tree-walking oracle in interp_test.go —
 // every stride, error position, error string and merge order here
 // replicates it bit-for-bit (compile_diff_test.go holds the proof
@@ -376,6 +376,21 @@ func (p *kprogram) bindPostNames(rs *runState, bt *bindingTable, b *kbind, alias
 	p.bindVsetSizes(rs, b)
 }
 
+// bindVertexNames resolves identifier slots in statement scope (alias
+// "") and vertex scope: alias is the current vertex, and every other
+// name — another alias of the block included — resolves as a
+// statement-level name.
+func (p *kprogram) bindVertexNames(rs *runState, b *kbind, alias string) {
+	for i, name := range p.names {
+		if alias != "" && name == alias {
+			b.names[i] = boundName{kind: bnCurVert}
+			continue
+		}
+		p.bindOuterName(rs, name, &b.names[i])
+	}
+	p.bindVsetSizes(rs, b)
+}
+
 func (p *kprogram) bindOuterName(rs *runState, name string, bn *boundName) {
 	if v, ok := rs.locals[name]; ok {
 		*bn = boundName{kind: bnValue, val: v}
@@ -412,6 +427,12 @@ func (p *kprogram) bindVsetSizes(rs *runState, b *kbind) {
 
 // ---- execution context --------------------------------------------------------
 
+// prevKey names one vertex's accumulator in a POST-ACCUM @acc' record.
+type prevKey struct {
+	vid  graph.VID
+	name string
+}
+
 // kctx is one worker's execution context. Clause locals live in
 // generation-stamped slots: bumping gen invalidates every local in
 // O(1), replacing the interpreter's per-row map clear.
@@ -432,6 +453,15 @@ type kctx struct {
 	cur      value.Value
 	curVID   graph.VID
 	prevVacc map[prevKey]value.Value
+
+	// Statement and output scopes (bindScope): the binding table of a
+	// row or group scope, the name vertex scope binds to cur, and the
+	// grouped output and current group of group scope. The oracle
+	// rebuilds the interpreter's environment from them.
+	bt    *bindingTable
+	alias string
+	out   *compiledOutput
+	grp   *sqlGroup
 
 	// misses counts statements whose unboxed evaluation missed and
 	// re-ran boxed (RunStats.AccumUnboxedMisses).
@@ -498,6 +528,32 @@ func (k *kctx) resolveName(ni int) (value.Value, error) {
 	default:
 		return value.Null, bn.err
 	}
+}
+
+// bindScope binds p for one statement or output scope and returns its
+// context: names resolve against bt's aliases in row and group scope
+// (bt non-nil), else as statement-level names with alias, if any, the
+// current vertex. The caller sets k.row, k.cur/curVID or k.grp as it
+// goes, and hands the bind back with p.putBind(k.b).
+func (rs *runState) bindScope(p *kprogram, bt *bindingTable, alias string) *kctx {
+	b := p.getBind()
+	p.bindShared(rs, b)
+	if bt != nil {
+		p.bindAccumNames(rs, bt, b)
+	} else {
+		p.bindVertexNames(rs, b, alias)
+	}
+	b.k = kctx{rs: rs, b: b, bt: bt, alias: alias}
+	return &b.k
+}
+
+// eval evaluates one statement or output expression e through its
+// compiled closure ce, or through the oracle when one is set.
+func (k *kctx) eval(e gsql.Expr, ce *cexpr) (value.Value, error) {
+	if oracle != nil {
+		return oracle.expr(k, e)
+	}
+	return ce.fn(k)
 }
 
 // ---- worker-local deltas ------------------------------------------------------
@@ -1185,7 +1241,7 @@ func (rs *runState) execPostAccumCompiled(p *kprogram, stmts []gsql.AccStmt, bt 
 	groups := map[string][]int{}
 	var groupOrder []string
 	for i := range stmts {
-		alias, err := rs.postAccumAlias(&stmts[i], bt)
+		alias, err := postAccumAlias(&stmts[i], bt)
 		if err != nil {
 			return err
 		}

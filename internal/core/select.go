@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -32,8 +33,8 @@ func (rs *runState) runSelect(sel *gsql.SelectExpr, assignTo string) error {
 		asp := sp.Start("accum")
 		asp.SetInt("rows", int64(len(bt.rows)))
 		var err error
-		if clauseOracle != nil {
-			err = clauseOracle(rs, "accum", sel, bt, asp)
+		if oracle != nil {
+			err = oracle.clause(rs, "accum", sel, bt, asp)
 		} else {
 			rs.res.Stats.AccumCompiledStmts += int64(len(sel.Accum))
 			err = rs.execAccumKernels([]*kprogram{rs.plan.selects[sel].acc}, bt, asp)
@@ -46,11 +47,16 @@ func (rs *runState) runSelect(sel *gsql.SelectExpr, assignTo string) error {
 	return rs.runPostAndOutputs(sel, bt, assignTo, sp)
 }
 
-// clauseOracle, when set, runs every WHERE, ACCUM and POST-ACCUM clause
-// ("where", "accum" or "post_accum") in place of the compiled kernels,
-// and execStmts then runs no fused groups. Differential tests set it
-// to the tree-walking interpreter; it is nil in production.
-var clauseOracle func(rs *runState, clause string, sel *gsql.SelectExpr, bt *bindingTable, sp *trace.Span) error
+// oracle, when set, replaces the compiled path: clause runs every
+// WHERE, ACCUM and POST-ACCUM clause ("where", "accum" or
+// "post_accum") in place of the compiled kernels, expr evaluates every
+// statement and output expression in the scope k describes (kctx.eval),
+// and execStmts runs no fused groups. Differential tests set it to the
+// tree-walking interpreter; it is nil in production.
+var oracle interface {
+	clause(rs *runState, clause string, sel *gsql.SelectExpr, bt *bindingTable, sp *trace.Span) error
+	expr(k *kctx, e gsql.Expr) (value.Value, error)
+}
 
 // runPostAndOutputs runs the POST-ACCUM clause and the block's outputs
 // — the per-block tail shared by the sequential path and fused groups.
@@ -59,8 +65,8 @@ func (rs *runState) runPostAndOutputs(sel *gsql.SelectExpr, bt *bindingTable, as
 		psp := sp.Start("post_accum")
 		psp.SetInt("statements", int64(len(sel.PostAccum)))
 		var err error
-		if clauseOracle != nil {
-			err = clauseOracle(rs, "post_accum", sel, bt, psp)
+		if oracle != nil {
+			err = oracle.clause(rs, "post_accum", sel, bt, psp)
 		} else {
 			rs.res.Stats.AccumCompiledStmts += int64(len(sel.PostAccum))
 			err = rs.execPostAccumCompiled(rs.plan.selects[sel].post, sel.PostAccum, bt)
@@ -85,8 +91,8 @@ func (rs *runState) runWhere(sel *gsql.SelectExpr, bt *bindingTable, sp *trace.S
 	wsp := sp.Start("where")
 	wsp.SetInt("rows_in", int64(len(bt.rows)))
 	var err error
-	if clauseOracle != nil {
-		err = clauseOracle(rs, "where", sel, bt, wsp)
+	if oracle != nil {
+		err = oracle.clause(rs, "where", sel, bt, wsp)
 	} else {
 		cs := rs.plan.selects[sel]
 		err = rs.filterWhereCompiled(cs.whereProg, cs.where, bt)
@@ -99,101 +105,29 @@ func (rs *runState) runWhere(sel *gsql.SelectExpr, bt *bindingTable, sp *trace.S
 // postAccumAlias returns the unique vertex alias a statement
 // references ("" if none); two aliases in one statement is an error,
 // as is referencing an edge alias (POST-ACCUM runs per distinct
-// vertex — edges have no per-vertex identity there).
-func (rs *runState) postAccumAlias(st *gsql.AccStmt, bt *bindingTable) (string, error) {
+// vertex — edges have no per-vertex identity there). The first error
+// in visiting order wins.
+func postAccumAlias(st *gsql.AccStmt, bt *bindingTable) (string, error) {
 	found := ""
-	var walk func(e gsql.Expr) error
-	walk = func(e gsql.Expr) error {
-		switch n := e.(type) {
-		case *gsql.Ident:
-			if _, ok := bt.edgeIdx[n.Name]; ok {
-				return fmt.Errorf("POST-ACCUM cannot reference edge alias %q; edge attributes are only in scope in ACCUM", n.Name)
-			}
-			if _, ok := bt.vertIdx[n.Name]; ok {
-				if found != "" && found != n.Name {
-					return fmt.Errorf("POST-ACCUM statement references two vertex aliases (%s, %s); it must reference at most one", found, n.Name)
-				}
-				found = n.Name
-			}
-			return nil
-		case *gsql.Binary:
-			if err := walk(n.L); err != nil {
-				return err
-			}
-			return walk(n.R)
-		case *gsql.Unary:
-			return walk(n.X)
-		case *gsql.Call:
-			if n.Recv != nil {
-				if err := walk(n.Recv); err != nil {
-					return err
-				}
-			}
-			for _, a := range n.Args {
-				if err := walk(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *gsql.VertexAccRef:
-			return walk(n.Vertex)
-		case *gsql.AttrRef:
-			return walk(n.Obj)
-		case *gsql.TupleExpr:
-			for _, sub := range n.Elems {
-				if err := walk(sub); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *gsql.ArrowTuple:
-			for _, sub := range append(append([]gsql.Expr{}, n.Keys...), n.Vals...) {
-				if err := walk(sub); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *gsql.CaseExpr:
-			for _, arm := range n.Whens {
-				if err := walk(arm.Cond); err != nil {
-					return err
-				}
-				if err := walk(arm.Then); err != nil {
-					return err
-				}
-			}
-			if n.Else != nil {
-				return walk(n.Else)
-			}
-			return nil
-		default:
-			return nil
+	var err error
+	gsql.WalkAccStmt(st, func(e gsql.Expr) {
+		id, ok := e.(*gsql.Ident)
+		if !ok || err != nil {
+			return
 		}
-	}
-	var walkStmt func(st *gsql.AccStmt) error
-	walkStmt = func(st *gsql.AccStmt) error {
-		if st.Cond != nil {
-			if err := walk(st.Cond); err != nil {
-				return err
-			}
-			for i := range st.Then {
-				if err := walkStmt(&st.Then[i]); err != nil {
-					return err
-				}
-			}
-			for i := range st.Else {
-				if err := walkStmt(&st.Else[i]); err != nil {
-					return err
-				}
-			}
-			return nil
+		if _, ok := bt.edgeIdx[id.Name]; ok {
+			err = fmt.Errorf("POST-ACCUM cannot reference edge alias %q; edge attributes are only in scope in ACCUM", id.Name)
+			return
 		}
-		if err := walk(st.Lhs); err != nil {
-			return err
+		if _, ok := bt.vertIdx[id.Name]; ok {
+			if found != "" && found != id.Name {
+				err = fmt.Errorf("POST-ACCUM statement references two vertex aliases (%s, %s); it must reference at most one", found, id.Name)
+				return
+			}
+			found = id.Name
 		}
-		return walk(st.Rhs)
-	}
-	if err := walkStmt(st); err != nil {
+	})
+	if err != nil {
 		return "", err
 	}
 	return found, nil
@@ -205,7 +139,7 @@ func (rs *runState) emitOutputs(sel *gsql.SelectExpr, bt *bindingTable, assignTo
 	if assignTo != "" {
 		return rs.emitVertexSet(sel, bt, assignTo)
 	}
-	grouped := len(sel.GroupBy) > 0 || rs.outputsHaveAggregates(sel)
+	cs := rs.plan.selects[sel]
 	for oi := range sel.Outputs {
 		out := &sel.Outputs[oi]
 		if out.Into == "" {
@@ -216,10 +150,10 @@ func (rs *runState) emitOutputs(sel *gsql.SelectExpr, bt *bindingTable, assignTo
 		}
 		var t *Table
 		var err error
-		if grouped {
-			t, err = rs.emitGrouped(sel, out, bt)
+		if cs.grouped {
+			t, err = rs.emitGrouped(sel, out, cs.outs[oi], bt)
 		} else {
-			t, err = rs.emitDistinctCombos(sel, out, bt)
+			t, err = rs.emitDistinctCombos(sel, out, cs.outs[oi], bt)
 		}
 		if err != nil {
 			return err
@@ -268,18 +202,9 @@ func (rs *runState) emitVertexSet(sel *gsql.SelectExpr, bt *bindingTable, assign
 	}
 	ids := distinctColumn(bt, col, rs.g.NumVertices())
 	if len(sel.OrderBy) > 0 {
-		keys := make([][]value.Value, len(ids))
-		for i, v := range ids {
-			en := &env{vars: map[string]value.Value{alias: value.NewVertex(int64(v))}}
-			row := make([]value.Value, len(sel.OrderBy))
-			for k, ok := range sel.OrderBy {
-				kv, err := rs.eval(ok.Expr, en)
-				if err != nil {
-					return err
-				}
-				row[k] = kv
-			}
-			keys[i] = row
+		keys, err := rs.vertexOrderKeys(sel, alias, ids)
+		if err != nil {
+			return err
 		}
 		idx := sortIndexByKeys(keys, sel.OrderBy)
 		sorted := make([]graph.VID, len(ids))
@@ -301,8 +226,30 @@ func (rs *runState) emitVertexSet(sel *gsql.SelectExpr, bt *bindingTable, assign
 	return nil
 }
 
+// vertexOrderKeys evaluates an S = SELECT v block's ORDER BY keys for
+// each vertex, in vertex scope.
+func (rs *runState) vertexOrderKeys(sel *gsql.SelectExpr, alias string, ids []graph.VID) ([][]value.Value, error) {
+	x := rs.plan.selects[sel].order
+	k := rs.bindScope(x.p, nil, alias)
+	defer x.p.putBind(k.b)
+	keys := make([][]value.Value, len(ids))
+	for i, v := range ids {
+		k.cur, k.curVID = value.NewVertex(int64(v)), v
+		row := make([]value.Value, len(sel.OrderBy))
+		for j, key := range sel.OrderBy {
+			kv, err := k.eval(key.Expr, x.fns[j])
+			if err != nil {
+				return nil, err
+			}
+			row[j] = kv
+		}
+		keys[i] = row
+	}
+	return keys, nil
+}
+
 func (rs *runState) evalLimit(e gsql.Expr) (int64, error) {
-	lv, err := rs.eval(e, rs.baseEnv())
+	lv, err := rs.evalStmt(e)
 	if err != nil {
 		return 0, err
 	}
@@ -316,51 +263,30 @@ func (rs *runState) evalLimit(e gsql.Expr) (int64, error) {
 // emitDistinctCombos builds a table with one row per distinct
 // combination of the pattern aliases referenced by the output items
 // (the vertex-block output model that all the paper's examples use).
-func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOutput, bt *bindingTable) (*Table, error) {
-	vertCols, edgeCols, relCols := rs.referencedCols(out.Items, bt)
-	// Also respect aliases referenced by ORDER BY keys.
+func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOutput, co *compiledOutput, bt *bindingTable) (*Table, error) {
+	vertCols, edgeCols, relCols := referencedCols(out.Items, bt)
 	type comboRow struct {
-		env  *env
 		vals []value.Value
 		keys []value.Value
 	}
 	var combos []comboRow
 	seen := map[string]bool{}
 	var kb []byte // reused key buffer: probing seen[string(kb)] allocates nothing
-	addCombo := func(row bindingRow) error {
-		kb = appendComboKey(kb[:0], row, vertCols, edgeCols, relCols)
+	k := rs.bindScope(co.p, bt, "")
+	defer co.p.putBind(k.b)
+	for ri := range bt.rows {
+		row := &bt.rows[ri]
+		kb = appendComboKey(kb[:0], *row, vertCols, edgeCols, relCols)
 		if seen[string(kb)] {
-			return nil
+			continue
 		}
 		seen[string(kb)] = true
-		en := bt.rowEnv(row)
-		vals := make([]value.Value, len(out.Items))
-		for i, item := range out.Items {
-			v, err := rs.eval(item.Expr, en)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		var keys []value.Value
-		for _, ok := range sel.OrderBy {
-			if idx := itemAliasIndex(out.Items, ok.Expr); idx >= 0 {
-				keys = append(keys, vals[idx])
-				continue
-			}
-			kv, err := rs.eval(ok.Expr, en)
-			if err != nil {
-				return err
-			}
-			keys = append(keys, kv)
-		}
-		combos = append(combos, comboRow{env: en, vals: vals, keys: keys})
-		return nil
-	}
-	for _, row := range bt.rows {
-		if err := addCombo(row); err != nil {
+		k.row = row
+		vals, keys, err := k.evalOutput(sel, out, co)
+		if err != nil {
 			return nil, err
 		}
+		combos = append(combos, comboRow{vals: vals, keys: keys})
 	}
 	// DISTINCT additionally dedupes by projected values.
 	if sel.Distinct {
@@ -407,6 +333,30 @@ func (rs *runState) emitDistinctCombos(sel *gsql.SelectExpr, out *gsql.SelectOut
 	return t, nil
 }
 
+// evalOutput evaluates one output row in k's row or group scope: the
+// items, then the ORDER BY keys, a key naming an item alias reading
+// that item's value.
+func (k *kctx) evalOutput(sel *gsql.SelectExpr, out *gsql.SelectOutput, co *compiledOutput) (vals, keys []value.Value, err error) {
+	vals = make([]value.Value, len(out.Items))
+	for i, item := range out.Items {
+		if vals[i], err = k.eval(item.Expr, co.items[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	for i, key := range sel.OrderBy {
+		if co.order[i] == nil {
+			keys = append(keys, vals[itemAliasIndex(out.Items, key.Expr)])
+			continue
+		}
+		kv, err := k.eval(key.Expr, co.order[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		keys = append(keys, kv)
+	}
+	return vals, keys, nil
+}
+
 // appendComboKey appends to sb the key of a row by the referenced
 // columns only.
 func appendComboKey(sb []byte, row bindingRow, vertCols, edgeCols, relCols []int) []byte {
@@ -430,65 +380,21 @@ func appendInt(b []byte, n int) []byte {
 }
 
 // referencedCols finds the binding-table columns the items touch.
-func (rs *runState) referencedCols(items []gsql.SelectItem, bt *bindingTable) (vertCols, edgeCols, relCols []int) {
-	seenV := map[int]bool{}
-	seenE := map[int]bool{}
-	seenR := map[int]bool{}
-	var walk func(e gsql.Expr)
-	walk = func(e gsql.Expr) {
-		switch n := e.(type) {
-		case *gsql.Ident:
-			if c, ok := bt.vertIdx[n.Name]; ok && !seenV[c] {
-				seenV[c] = true
-				vertCols = append(vertCols, c)
-			}
-			if c, ok := bt.edgeIdx[n.Name]; ok && !seenE[c] {
-				seenE[c] = true
-				edgeCols = append(edgeCols, c)
-			}
-			if c, ok := bt.relIdx[n.Name]; ok && !seenR[c] {
-				seenR[c] = true
-				relCols = append(relCols, c)
-			}
-		case *gsql.Binary:
-			walk(n.L)
-			walk(n.R)
-		case *gsql.Unary:
-			walk(n.X)
-		case *gsql.Call:
-			if n.Recv != nil {
-				walk(n.Recv)
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *gsql.VertexAccRef:
-			walk(n.Vertex)
-		case *gsql.AttrRef:
-			walk(n.Obj)
-		case *gsql.TupleExpr:
-			for _, sub := range n.Elems {
-				walk(sub)
-			}
-		case *gsql.ArrowTuple:
-			for _, sub := range n.Keys {
-				walk(sub)
-			}
-			for _, sub := range n.Vals {
-				walk(sub)
-			}
-		case *gsql.CaseExpr:
-			for _, arm := range n.Whens {
-				walk(arm.Cond)
-				walk(arm.Then)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
+func referencedCols(items []gsql.SelectItem, bt *bindingTable) (vertCols, edgeCols, relCols []int) {
+	add := func(cols []int, idx map[string]int, name string) []int {
+		if c, ok := idx[name]; ok && !slices.Contains(cols, c) {
+			cols = append(cols, c)
 		}
+		return cols
 	}
 	for _, item := range items {
-		walk(item.Expr)
+		gsql.WalkExpr(item.Expr, func(e gsql.Expr) {
+			if id, ok := e.(*gsql.Ident); ok {
+				vertCols = add(vertCols, bt.vertIdx, id.Name)
+				edgeCols = add(edgeCols, bt.edgeIdx, id.Name)
+				relCols = add(relCols, bt.relIdx, id.Name)
+			}
+		})
 	}
 	sort.Ints(vertCols)
 	sort.Ints(edgeCols)

@@ -186,7 +186,7 @@ func newRunState(e *Engine, g *graph.Graph, q *gsql.Query, plan *queryPlan, args
 	for _, d := range q.Decls {
 		var init value.Value
 		if d.Init != nil {
-			v, err := rs.eval(d.Init, rs.baseEnv())
+			v, err := rs.evalStmt(d.Init)
 			if err != nil {
 				return nil, fmt.Errorf("initializing %s: %w", declName(d), err)
 			}

@@ -63,29 +63,6 @@ func (c *CSR) NumHalfEdges() int { return len(c.halves) + len(c.extHalves) }
 // CSR); kernels then also walk ExtSegments.
 func (c *CSR) HasExt() bool { return c.extOff != nil }
 
-// Neighbors returns v's adjacency sorted by (Type, Dir, Edge). For a
-// canonical CSR this is a subslice of the flat array; for a patched
-// CSR with delta half-edges at v it allocates a concatenation. The
-// result must not be mutated.
-func (c *CSR) Neighbors(v VID) []HalfEdge {
-	var base []HalfEdge
-	if int(v) < len(c.offsets)-1 {
-		base = c.halves[c.offsets[v]:c.offsets[v+1]]
-	}
-	if c.extOff == nil {
-		return base
-	}
-	ext := c.extHalves[c.extOff[v]:c.extOff[v+1]]
-	if len(ext) == 0 {
-		return base
-	}
-	if len(base) == 0 {
-		return ext
-	}
-	out := make([]HalfEdge, 0, len(base)+len(ext))
-	return append(append(out, base...), ext...)
-}
-
 // Segments returns v's (Type, Dir) runs over the base half-edges; use
 // HalfEdges to resolve them. The slice must not be mutated. Vertices
 // inserted after the base horizon have no base segments.

@@ -22,7 +22,13 @@ func csrInvariants(t *testing.T, g *Graph, c *CSR) {
 	totalHalves := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Neighbors(VID(v))
-		flat := c.Neighbors(VID(v))
+		var flat []HalfEdge
+		for _, s := range c.Segments(VID(v)) {
+			flat = append(flat, c.HalfEdges(s)...)
+		}
+		for _, s := range c.ExtSegments(VID(v)) {
+			flat = append(flat, c.ExtHalfEdges(s)...)
+		}
 		totalHalves += len(flat)
 		if len(flat) != len(adj) {
 			t.Fatalf("v%d: CSR degree %d, adj degree %d", v, len(flat), len(adj))
@@ -125,7 +131,7 @@ func TestFreezeCachesAndInvalidates(t *testing.T) {
 	// Topology mutation invalidates; the old snapshot stays intact.
 	a, _ := g.VertexByKey("V", "v0")
 	b, _ := g.VertexByKey("V", "v3")
-	oldDeg := len(c1.Neighbors(a))
+	oldDeg := c1.Degree(a)
 	if _, err := g.AddEdge("E", a, b, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +139,11 @@ func TestFreezeCachesAndInvalidates(t *testing.T) {
 	if c2 == c1 {
 		t.Fatal("AddEdge must invalidate the frozen CSR")
 	}
-	if len(c1.Neighbors(a)) != oldDeg {
+	if c1.Degree(a) != oldDeg {
 		t.Fatal("old snapshot mutated")
 	}
-	if len(c2.Neighbors(a)) != oldDeg+1 {
-		t.Fatalf("new snapshot degree %d, want %d", len(c2.Neighbors(a)), oldDeg+1)
+	if c2.Degree(a) != oldDeg+1 {
+		t.Fatalf("new snapshot degree %d, want %d", c2.Degree(a), oldDeg+1)
 	}
 	csrInvariants(t, g, c2)
 	// AddVertex also invalidates (offsets must grow).
